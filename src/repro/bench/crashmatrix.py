@@ -108,7 +108,7 @@ def run_cell(site: str, direction: str, ncpus: int,
     plan = faults.FaultPlan()
     plan.arm(site, times=None if flavor == "persistent" else 1)
     try:
-        with faults.injected(plan):
+        with faults.injected(plan, mercury.machine):
             if flavor == "persistent" and not latency_only:
                 try:
                     _switch(mercury, direction)

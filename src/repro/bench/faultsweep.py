@@ -81,7 +81,7 @@ def sweep_point(rate: float, rounds: int = 24,
         if rng.random() < rate:
             times = None if rng.random() < PERSISTENT_SHARE else 1
             plan.arm(rng.choice(armable), times=times)
-        with faults.injected(plan):
+        with faults.injected(plan, mercury.machine):
             try:
                 rec = (mercury.attach() if mercury.mode is Mode.NATIVE
                        else mercury.detach())

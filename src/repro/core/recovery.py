@@ -145,13 +145,13 @@ class RecoveryManager:
         self.incidents.append(record)
         self._in_progress = True
         try:
-            with trace.span(cpu.cpu_id, "recovery.microreboot",
+            with trace.span(cpu, "recovery.microreboot",
                             invariant=verdict.invariant):
-                with trace.span(cpu.cpu_id, "recovery.emergency-detach"):
+                with trace.span(cpu, "recovery.emergency-detach"):
                     saved_guests = self.emergency_detach(cpu)
-                with trace.span(cpu.cpu_id, "recovery.re-precache"):
+                with trace.span(cpu, "recovery.re-precache"):
                     self._microreboot(cpu)
-                with trace.span(cpu.cpu_id, "recovery.re-attach"):
+                with trace.span(cpu, "recovery.re-attach"):
                     switch = mercury.attach(cpu)
                     if switch is None:
                         raise RecoveryError(
@@ -235,7 +235,7 @@ class RecoveryManager:
             # the distrust-after-rollback path: nothing the corrupt VMM
             # validated may seed the next attach's incremental recompute
             mercury.mmu_log.distrust()
-        trace.instant(cpu.cpu_id, "recovery.detached",
+        trace.instant(cpu, "recovery.detached",
                       guests=len(saved_guests))
         return saved_guests
 
@@ -316,6 +316,6 @@ class RecoveryManager:
                 domain.mem_floor = mem_floor
                 domain.mem_pages = len(
                     self.machine.memory.frames_owned_by(guest.owner_id))
-            trace.instant(cpu.cpu_id, "recovery.guest-rehosted",
+            trace.instant(cpu, "recovery.guest-rehosted",
                           guest=guest.name)
         return len(guests)

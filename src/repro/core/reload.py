@@ -36,18 +36,18 @@ def _reload_own_registers(cpu: "Cpu", kernel: "Kernel",
     saved, cpu.pl = cpu.pl, PrivilegeLevel.PL0
     try:
         cpu.load_gdt(cpu.gdt)
-        trace.instant(cpu.cpu_id, "reload.gdt")
+        trace.instant(cpu, "reload.gdt")
         if native_target:
             # native mode: the guest IDT goes live (virtual mode leaves the
             # VMM's forwarding IDT installed by the transfer step)
             cpu.load_idt(kernel.idt)
-            trace.instant(cpu.cpu_id, "reload.idt")
+            trace.instant(cpu, "reload.idt")
         current = kernel.scheduler.current
         if current is not None:
             cpu.write_cr3(current.aspace.pgd_frame)
-            trace.instant(cpu.cpu_id, "reload.cr3")
+            trace.instant(cpu, "reload.cr3")
         cpu.tlb.flush()
-        trace.instant(cpu.cpu_id, "reload.tlb-flush")
+        trace.instant(cpu, "reload.tlb-flush")
     finally:
         cpu.pl = saved
 
@@ -59,7 +59,7 @@ def reload_control_processor(cpu: "Cpu", kernel: "Kernel",
     if cpu.interrupts_enabled:
         raise ConsistencyViolation(
             "state reloading entered with interrupts enabled")
-    with trace.span(cpu.cpu_id, "reload.cp"):
+    with trace.span(cpu, "reload.cp"):
         cpu.charge(cpu.cost.cyc_reload_fixed)
         _reload_own_registers(
             cpu, kernel,
@@ -76,7 +76,7 @@ def reload_secondary(cpu: "Cpu", kernel: "Kernel",
                      target_kernel_pl: PrivilegeLevel) -> None:
     """A secondary core's share of the reload, run from its rendezvous IPI
     handler."""
-    if faults.fire(faults.RELOAD_SECONDARY, cpu_id=cpu.cpu_id):
+    if faults.fire(faults.RELOAD_SECONDARY, cpu.clock, cpu.cpu_id):
         raise ReloadFailure(
             f"injected: cpu{cpu.cpu_id} failed its state reload")
     _reload_own_registers(cpu, kernel,

@@ -95,17 +95,17 @@ class SmpCoordinator:
         self.go_flag = False
         self.done_count = 0
 
-        with trace.span(cp.cpu_id, "smp.rendezvous"):
+        with trace.span(cp, "smp.rendezvous"):
             # 1. CP notifies the other processors (a dropped IPI never
             # reaches its core: the gather below comes up short and times
             # out)
             ipis = 0
             reached: list["Cpu"] = []
             for c in secondaries:
-                if faults.fire(faults.IPI_DROPPED, cpu_id=c.cpu_id):
+                if faults.fire(faults.IPI_DROPPED, clock, c.cpu_id):
                     continue
                 self.machine.intc.send_ipi(cp, c.cpu_id, VEC_SV_RENDEZVOUS)
-                trace.instant(cp.cpu_id, "smp.ipi", target=f"cpu{c.cpu_id}")
+                trace.instant(cp, "smp.ipi", target=f"cpu{c.cpu_id}")
                 reached.append(c)
                 ipis += 1
 
@@ -118,13 +118,13 @@ class SmpCoordinator:
                 # those events to their deadlines.  Targeted
                 # :meth:`Clock.fire` (not ``run_due``) keeps unrelated due
                 # timers from running inside the masked rendezvous window.
-                with trace.span(cp.cpu_id, "smp.gather"):
+                with trace.span(cp, "smp.gather"):
                     acks = []
                     if reached:
                         deadline = clock.cycles + cost.cyc_ipi_deliver
                         for c in reached:
-                            if faults.fire(faults.IPI_DELAYED,
-                                           cpu_id=c.cpu_id):
+                            if faults.fire(faults.IPI_DELAYED, clock,
+                                           c.cpu_id):
                                 deadline += (cost.cyc_ipi_deliver *
                                              IPI_DELAY_FACTOR)
                             acks.append(clock.schedule(
@@ -133,7 +133,7 @@ class SmpCoordinator:
                             deadline += cost.cyc_refcount_check
                     for handle in acks:
                         clock.fire(handle)
-                    if faults.fire(faults.RENDEZVOUS_TIMEOUT):
+                    if faults.fire(faults.RENDEZVOUS_TIMEOUT, clock):
                         raise RendezvousTimeout(
                             f"injected: gather stalled at {self.ready_count}"
                             f"/{len(cpus)} CPUs")
@@ -154,7 +154,7 @@ class SmpCoordinator:
                 t_secondaries_done = t_gathered
                 for c in secondaries:
                     before = clock.cycles
-                    with trace.span(c.cpu_id, "reload.secondary"):
+                    with trace.span(c, "reload.secondary"):
                         secondary_work(c)
                     self.done_count += 1
                     delta = clock.cycles - before

@@ -200,7 +200,7 @@ class ModeSwitchEngine:
         self._handle(cpu, Direction.TO_NATIVE)
 
     def _handle(self, cpu: "Cpu", direction: Direction) -> None:
-        with trace.span(cpu.cpu_id, "switch.attempt",
+        with trace.span(cpu, "switch.attempt",
                         direction=direction.value):
             self._handle_traced(cpu, direction)
 
@@ -216,24 +216,24 @@ class ModeSwitchEngine:
                 mercury.kernel.vo is mercury.virtual_vo:
             self._pending.pop(direction, None)
             self._cancel_retry(direction)
-            trace.instant(cpu.cpu_id, "switch.stale-drop")
+            trace.instant(cpu, "switch.stale-drop")
             return
         if direction is Direction.TO_NATIVE and \
                 mercury.kernel.vo is mercury.native_vo:
             self._pending.pop(direction, None)
             self._cancel_retry(direction)
-            trace.instant(cpu.cpu_id, "switch.stale-drop")
+            trace.instant(cpu, "switch.stale-drop")
             return
 
         # §5.1.1: only commit at refcount zero (a fault armed at the
         # refcount site simulates a CPU wedged inside sensitive code)
-        with trace.span(cpu.cpu_id, "switch.quiesce"):
+        with trace.span(cpu, "switch.quiesce"):
             cpu.charge(cpu.cost.cyc_refcount_check)
-            busy = faults.fire(faults.REFCOUNT_STUCK, cpu_id=cpu.cpu_id) or \
-                mercury.kernel.vo.busy()
+            busy = faults.fire(faults.REFCOUNT_STUCK, cpu.clock,
+                               cpu.cpu_id) or mercury.kernel.vo.busy()
         if busy:
             self.failed_attempts += 1
-            trace.instant(cpu.cpu_id, "switch.busy",
+            trace.instant(cpu, "switch.busy",
                           refcount=mercury.kernel.vo.refcount)
             self._retry_or_abort(cpu, direction, cause=None)
             return
@@ -253,7 +253,7 @@ class ModeSwitchEngine:
             return
         self.records.append(record)
         self._cancel_retry(direction)
-        trace.instant(cpu.cpu_id, "switch.committed",
+        trace.instant(cpu, "switch.committed",
                       direction=direction.value, cycles=record.cycles)
         retries = record.retries
         self.retry_histogram[retries] = \
@@ -280,14 +280,14 @@ class ModeSwitchEngine:
                 # request itself is unwound to the pre-switch state
                 self.switch_rollbacks += 1
                 cause = attempt.errors[-1] if attempt.errors else None
-            trace.instant(cpu.cpu_id, "switch.abort",
+            trace.instant(cpu, "switch.abort",
                           direction=direction.value)
             raise SwitchAborted(direction, attempt.retries, cause)
         attempt.retries += 1
         delay_ms = min(
             RETRY_PERIOD_MS * BACKOFF_FACTOR ** (attempt.retries - 1),
             MAX_RETRY_BACKOFF_MS)
-        trace.instant(cpu.cpu_id, "switch.retry-armed",
+        trace.instant(cpu, "switch.retry-armed",
                       direction=direction.value, delay_ms=delay_ms)
         vector = (VEC_SV_ATTACH if direction is Direction.TO_VIRTUAL
                   else VEC_SV_DETACH)
@@ -311,7 +311,7 @@ class ModeSwitchEngine:
         if direction is Direction.TO_NATIVE and kernel.vo is mercury.native_vo:
             raise ModeSwitchError("already in native mode")
 
-        with trace.span(cpu.cpu_id, "switch.commit",
+        with trace.span(cpu, "switch.commit",
                         direction=direction.value):
             # uninterruptible from here (the handler context already raised
             # us to PL0; we additionally mask)
@@ -320,7 +320,7 @@ class ModeSwitchEngine:
             # mode-dependent state (they assume hypercalls into the current
             # VMM); drain them before the VO pointer swap and refuse to
             # commit on a dirty queue
-            with trace.span(cpu.cpu_id, "switch.lazy-drain"):
+            with trace.span(cpu, "switch.lazy-drain"):
                 kernel.vo.lazy_mmu_drain(cpu)
             if kernel.vo.lazy_mmu_pending():
                 cpu.interrupts_enabled = saved_if
@@ -337,7 +337,7 @@ class ModeSwitchEngine:
                 except BaseException:
                     # unwind the completed steps newest-first; interrupts
                     # are still masked here, which the reload undo requires
-                    with trace.span(cpu.cpu_id, "switch.rollback"):
+                    with trace.span(cpu, "switch.rollback"):
                         self.rollback_steps += txn.rollback(cpu)
                     self.switch_rollbacks += 1
                     raise
@@ -369,8 +369,8 @@ class ModeSwitchEngine:
             if mercury.paging is PagingMode.SHADOW:
                 # §3.2.2 shadow mode: translate every guest table into a
                 # VMM-owned shadow instead of validating + pinning
-                with trace.span(cp.cpu_id, "transfer.shadow-build"):
-                    if faults.fire(faults.PT_TRANSFER_ABORT):
+                with trace.span(cp, "transfer.shadow-build"):
+                    if faults.fire(faults.PT_TRANSFER_ABORT, cp.clock):
                         raise TransferAborted(
                             "injected: shadow build aborted before start")
                     for aspace in kernel.aspaces:
@@ -390,7 +390,7 @@ class ModeSwitchEngine:
             transfer.transfer_irq_bindings_to_virtual(cp, kernel, vmm, domain,
                                                       txn=txn)
             vmm.activate()
-            trace.instant(cp.cpu_id, "vmm.activate")
+            trace.instant(cp, "vmm.activate")
             txn.did("vmm-activate", lambda c: vmm.deactivate())
             reload_control_processor(cp, kernel, PrivilegeLevel.PL1)
             txn.did("cp-reload",
@@ -398,7 +398,7 @@ class ModeSwitchEngine:
                                                        PrivilegeLevel.PL0))
             old_vo = kernel.vo
             kernel.vo = mercury.virtual_vo
-            trace.instant(cp.cpu_id, "switch.vo-swap", to="virtual")
+            trace.instant(cp, "switch.vo-swap", to="virtual")
             txn.did("vo-swap", lambda c: setattr(kernel, "vo", old_vo))
             if mercury.paging is PagingMode.SHADOW and \
                     kernel.scheduler.current is not None:
@@ -427,8 +427,8 @@ class ModeSwitchEngine:
         def cp_work(cp: "Cpu") -> None:
             from repro.core.mercury import PagingMode
             if mercury.paging is PagingMode.SHADOW:
-                with trace.span(cp.cpu_id, "transfer.shadow-drop"):
-                    if faults.fire(faults.PT_TRANSFER_ABORT):
+                with trace.span(cp, "transfer.shadow-drop"):
+                    if faults.fire(faults.PT_TRANSFER_ABORT, cp.clock):
                         raise TransferAborted(
                             "injected: shadow drop aborted before start")
                     mercury.pager.drop_all(cp)
@@ -447,7 +447,7 @@ class ModeSwitchEngine:
                     tracker=mercury.mmu_log)
             transfer.transfer_segments(cp, kernel, new_dpl=0, txn=txn)
             vmm.deactivate()
-            trace.instant(cp.cpu_id, "vmm.deactivate")
+            trace.instant(cp, "vmm.deactivate")
             txn.did("vmm-deactivate", lambda c: vmm.activate())
             transfer.transfer_irq_bindings_to_native(cp, kernel, vmm, domain,
                                                      txn=txn)
@@ -457,7 +457,7 @@ class ModeSwitchEngine:
                                                        PrivilegeLevel.PL1))
             old_vo = kernel.vo
             kernel.vo = mercury.native_vo
-            trace.instant(cp.cpu_id, "switch.vo-swap", to="native")
+            trace.instant(cp, "switch.vo-swap", to="native")
             txn.did("vo-swap", lambda c: setattr(kernel, "vo", old_vo))
 
         def secondary_work(c: "Cpu") -> None:

@@ -33,6 +33,7 @@ from repro.hw.cpu import PrivilegeLevel
 if TYPE_CHECKING:
     from repro.core.accounting import MmuAccounting
     from repro.guestos.kernel import Kernel
+    from repro.hw.clock import Clock
     from repro.hw.cpu import Cpu
     from repro.vmm.domain import Domain
     from repro.vmm.hypervisor import Hypervisor
@@ -66,7 +67,7 @@ class SwitchTransaction:
         ran = 0
         while self._undo:
             step, undo = self._undo.pop()
-            trace.instant(cpu.cpu_id, "rollback.step", step=step)
+            trace.instant(cpu, "rollback.step", step=step)
             try:
                 undo(cpu)
             except Exception as exc:  # noqa: BLE001 - collected, re-raised
@@ -78,12 +79,12 @@ class SwitchTransaction:
         return ran
 
 
-def _fire_transfer_faults(processed: int) -> None:
+def _fire_transfer_faults(clock: "Clock", processed: int) -> None:
     """The two injection seams every per-aspace transfer loop passes."""
-    if faults.fire(faults.TRANSFER_HYPERCALL):
+    if faults.fire(faults.TRANSFER_HYPERCALL, clock):
         raise HypercallError(
             "injected: transient hypercall failure during state transfer")
-    if faults.fire(faults.PT_TRANSFER_ABORT):
+    if faults.fire(faults.PT_TRANSFER_ABORT, clock):
         raise TransferAborted(
             f"injected: page-table transfer aborted after {processed} pages")
 
@@ -108,7 +109,7 @@ def transfer_page_tables_to_virtual(cpu: "Cpu", kernel: "Kernel",
     driver of the native→virtual switch, §7.4)."""
     processed = 0
     page_info = vmm.page_info
-    with trace.span(cpu.cpu_id, "transfer.page-tables",
+    with trace.span(cpu, "transfer.page-tables",
                     strategy=strategy.value):
         if strategy is AccountingStrategy.RECOMPUTE:
             if txn is not None:
@@ -136,7 +137,7 @@ def transfer_page_tables_to_virtual(cpu: "Cpu", kernel: "Kernel",
                 if tracker is not None:
                     tracker.full_recomputes += 1
                 for aspace in kernel.aspaces:
-                    _fire_transfer_faults(processed)
+                    _fire_transfer_faults(cpu.clock, processed)
                     domain.register_aspace(aspace)
                     if txn is not None:
                         txn.did(f"register-aspace-{aspace.pgd_frame}",
@@ -149,7 +150,7 @@ def transfer_page_tables_to_virtual(cpu: "Cpu", kernel: "Kernel",
             # ACTIVE: counts were maintained from native mode; only the pin
             # markers and a light re-protection pass are needed
             for aspace in kernel.aspaces:
-                _fire_transfer_faults(processed)
+                _fire_transfer_faults(cpu.clock, processed)
                 domain.register_aspace(aspace)
                 if txn is not None:
                     txn.did(f"register-aspace-{aspace.pgd_frame}",
@@ -189,7 +190,7 @@ def _revalidate_incremental(cpu: "Cpu", kernel: "Kernel", vmm: "Hypervisor",
     contributions = tracker.contributions
     trusted = revalidated = 0
     for aspace in kernel.aspaces:
-        _fire_transfer_faults(processed)
+        _fire_transfer_faults(cpu.clock, processed)
         domain.register_aspace(aspace)
         if txn is not None:
             txn.did(f"register-aspace-{aspace.pgd_frame}",
@@ -213,7 +214,7 @@ def _revalidate_incremental(cpu: "Cpu", kernel: "Kernel", vmm: "Hypervisor",
     tracker.roots_trusted += trusted
     tracker.roots_revalidated += revalidated
     tracker.consume()
-    trace.instant(cpu.cpu_id, "transfer.pt-incremental",
+    trace.instant(cpu, "transfer.pt-incremental",
                   trusted=trusted, revalidated=revalidated, dead=n_dead)
     return processed
 
@@ -245,11 +246,11 @@ def transfer_page_tables_to_native(cpu: "Cpu", kernel: "Kernel",
         if tracker is not None:
             tracker.restore(ck)
 
-    with trace.span(cpu.cpu_id, "transfer.page-tables"):
+    with trace.span(cpu, "transfer.page-tables"):
         pinned_roots = [a for a in kernel.aspaces
                         if page_info.is_pinned(a.pgd.frame)]
         for aspace in list(kernel.aspaces):
-            _fire_transfer_faults(processed)
+            _fire_transfer_faults(cpu.clock, processed)
             unpinned: list[int] = []
             for pt in aspace.pt_pages():
                 cpu.charge(cpu.cost.cyc_transfer_per_pt_page)
@@ -280,7 +281,7 @@ def transfer_segments(cpu: "Cpu", kernel: "Kernel", new_dpl: int,
     (§5.1.2: 'a code stub to check and fix the cached segment selectors').
 
     Returns the number of task frames fixed."""
-    with trace.span(cpu.cpu_id, "transfer.segments"):
+    with trace.span(cpu, "transfer.segments"):
         if txn is not None:
             old_dpl = kernel.vo.data.kernel_segment_dpl
             txn.did(f"segments-dpl{new_dpl}",
@@ -330,7 +331,7 @@ def transfer_irq_bindings_to_virtual(cpu: "Cpu", kernel: "Kernel",
                                      ) -> None:
     """Move interrupt delivery under the VMM: register the guest's handlers
     as the domain trap table and install the VMM's forwarding IDT."""
-    with trace.span(cpu.cpu_id, "transfer.irq-bindings"):
+    with trace.span(cpu, "transfer.irq-bindings"):
         if txn is not None:
             old_table = domain.trap_table
             old_idts = _snapshot_idts(kernel)
@@ -355,7 +356,7 @@ def transfer_irq_bindings_to_native(cpu: "Cpu", kernel: "Kernel",
     """Point the hardware back at the guest's own IDT.  (``vmm``/``domain``
     are accepted for call-site symmetry; the journalled undo restores the
     captured per-CPU IDTs rather than re-deriving the forwarding IDT.)"""
-    with trace.span(cpu.cpu_id, "transfer.irq-bindings"):
+    with trace.span(cpu, "transfer.irq-bindings"):
         if txn is not None:
             old_idts = _snapshot_idts(kernel)
             txn.did("irq-to-native",

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from repro.errors import ConsistencyViolation
-from repro.sim import scheduler as _sim
 
 if TYPE_CHECKING:
     from repro.hw.cpu import Cpu
@@ -77,9 +76,9 @@ def sensitive(fn):
         try:
             return fn(self, cpu, *args, **kwargs)
         finally:
-            # preempt_point inlined: the no-scheduler guard is one global
-            # load here instead of a call on every sensitive op
-            sched = _sim._ACTIVE
+            # preempt_point inlined: the no-scheduler guard is one
+            # attribute test here instead of a call on every sensitive op
+            sched = cpu.clock.sched
             if sched is not None:
                 sched.pump(cpu)
             if self.refcount <= 0:

@@ -13,18 +13,21 @@ wall-clock, no randomness — the same plan against the same workload injects
 at exactly the same instruction, every run, which is what lets the crash
 matrix bisect a rollback bug to a single site.
 
-The pipeline hooks call :func:`fire`; it is a no-op (one ``is None`` test)
-unless a plan is installed via :func:`install_plan` / :func:`injected`, so
-production paths pay nothing.
+The pipeline hooks call :func:`fire` with the clock they run on; it is a
+no-op (one ``is None`` test) unless :func:`injected` armed a plan on that
+clock (``clock.fault_plan``), so production paths pay nothing and a plan
+armed on one machine never fires on a machine with a different clock.
 """
 
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterator, Optional
 
-from repro import trace
+if TYPE_CHECKING:
+    from repro.hw.clock import Clock
+    from repro.hw.machine import Machine
 
 
 @dataclass(frozen=True)
@@ -92,9 +95,6 @@ VMM_CHANNEL_WEDGED = "vmm.event-channel-wedged"
 VMM_BACKEND_DEAD = "vmm.backend-dead"
 VMM_GRANT_POISONED = "vmm.grant-poisoned"
 VMM_REFCOUNT_RUNAWAY = "vmm.refcount-runaway"
-#: compat alias — the site predates the balloon *driver* (memory
-#: elasticity); the old name collided with that vocabulary
-VMM_REFCOUNT_BALLOON = VMM_REFCOUNT_RUNAWAY
 VMM_TRAP_VECTOR_DROPPED = "vmm.trap-vector-dropped"
 VMM_BALLOON_WEDGED = "vmm.balloon-ring-wedged"
 
@@ -168,7 +168,8 @@ class ArmedFault:
 
 
 class FaultPlan:
-    """A deterministic set of armed faults, installable as the active plan."""
+    """A deterministic set of armed faults, armed on a clock by
+    :func:`injected`."""
 
     def __init__(self):
         self._armed: dict[str, list[ArmedFault]] = {}
@@ -202,59 +203,48 @@ class FaultPlan:
             if fault.matches(cpu_id) and fault.should_fire():
                 fired = True
         if fired:
-            self.injected += 1
-            self.log.append((site_name, cpu_id))
-            global _INJECTED_TOTAL
-            _INJECTED_TOTAL += 1
-            trace.instant(cpu_id if cpu_id is not None else 0,
-                          "fault.injected", site=site_name)
+            self.note(site_name, cpu_id)
         return fired
 
-
-# ---------------------------------------------------------------------------
-# the active plan (the simulator is single-threaded; module scope is the
-# natural "machine-wide" scope)
-# ---------------------------------------------------------------------------
-
-_ACTIVE: Optional[FaultPlan] = None
-#: lifetime count of injected faults, monotonic across plans — what the
-#: metrics layer snapshots (plans come and go; snapshots are diffed)
-_INJECTED_TOTAL = 0
+    def note(self, site_name: str, cpu_id: Optional[int] = None) -> None:
+        """Log one injection at ``site_name`` in the audit trail."""
+        self.injected += 1
+        self.log.append((site_name, cpu_id))
 
 
-def install_plan(plan: FaultPlan) -> None:
-    global _ACTIVE
-    _ACTIVE = plan
-
-
-def clear_plan() -> None:
-    global _ACTIVE
-    _ACTIVE = None
-
-
-def active_plan() -> Optional[FaultPlan]:
-    return _ACTIVE
-
-
-def injected_total() -> int:
-    return _INJECTED_TOTAL
-
-
-def fire(site_name: str, cpu_id: Optional[int] = None) -> bool:
-    """The pipeline hook: does the active plan (if any) inject here, now?"""
-    if _ACTIVE is None:
+def fire(site_name: str, clock: "Clock",
+         cpu_id: Optional[int] = None) -> bool:
+    """The pipeline hook: does the plan armed on ``clock`` (if any) inject
+    at ``site_name`` now?  ``cpu_id`` is the traversing CPU for per-CPU
+    sites; CPU-anonymous sites leave it None."""
+    plan = clock.fault_plan
+    if plan is None or not plan.check(site_name, cpu_id):
         return False
-    return _ACTIVE.check(site_name, cpu_id)
+    _count_injection(clock, site_name, cpu_id)
+    return True
+
+
+def _count_injection(clock: "Clock", site_name: str,
+                     cpu_id: Optional[int]) -> None:
+    """The clock-side bookkeeping of one injection: the lifetime counter
+    and the trace mark."""
+    clock.faults_injected += 1
+    tracer = clock.tracer
+    if tracer is not None:
+        tracer.instant(cpu_id if cpu_id is not None else 0,
+                       "fault.injected", site=site_name)
 
 
 @contextlib.contextmanager
-def injected(plan: FaultPlan) -> Iterator[FaultPlan]:
-    """Install ``plan`` for the duration of a with-block (tests' main door)."""
-    install_plan(plan)
+def injected(plan: FaultPlan, machine: "Machine") -> Iterator[FaultPlan]:
+    """Arm ``plan`` on ``machine``'s clock for the duration of a
+    with-block (tests' main door); the previous plan is re-armed on exit."""
+    clock = machine.clock
+    previous, clock.fault_plan = clock.fault_plan, plan
     try:
         yield plan
     finally:
-        clear_plan()
+        clock.fault_plan = previous
 
 
 # ---------------------------------------------------------------------------
@@ -270,19 +260,6 @@ def injected(plan: FaultPlan) -> Iterator[FaultPlan]:
 
 #: how far the runaway refcount jumps (well past the watchdog threshold)
 REFCOUNT_RUNAWAY_AMOUNT = 1000
-REFCOUNT_BALLOON_AMOUNT = REFCOUNT_RUNAWAY_AMOUNT  # compat alias
-
-
-def _record_injection(site_name: str, cpu_id: Optional[int] = None) -> None:
-    """Mirror :meth:`FaultPlan.check`'s bookkeeping for a direct injection:
-    the lifetime counter, the active plan's audit log, and the trace mark."""
-    global _INJECTED_TOTAL
-    _INJECTED_TOTAL += 1
-    if _ACTIVE is not None:
-        _ACTIVE.injected += 1
-        _ACTIVE.log.append((site_name, cpu_id))
-    trace.instant(cpu_id if cpu_id is not None else 0,
-                  "fault.injected", site=site_name)
 
 
 def inject_vmm_fault(site_name: str, mercury, variant: int = 0) -> str:
@@ -369,5 +346,10 @@ def inject_vmm_fault(site_name: str, mercury, variant: int = 0) -> str:
         what = f"trap vector {vector:#x} dropped"
     else:
         raise ValueError(f"not a VMM fault site: {site_name!r}")
-    _record_injection(site_name)
+    # a direct injection is booked like a fired site: in the armed plan's
+    # audit trail (if any) and on the clock
+    clock = mercury.machine.clock
+    if clock.fault_plan is not None:
+        clock.fault_plan.note(site_name)
+    _count_injection(clock, site_name, None)
     return what

@@ -317,7 +317,6 @@ class ServiceNode(FleetNode):
         watchdog = Watchdog(self.mercury, suspect_scans=2)
         manager = RecoveryManager(self.mercury, watchdog)
         faults.inject_vmm_fault(site, self.mercury, variant=variant)
-        self.faults_injected += 1
         injected_at = clock.cycles
         verdict = None
         detected_at = -1

@@ -91,8 +91,8 @@ class BlkFront:
         self.stats.ring_batched_entries += n
         if self.ring.push_requests_and_check_notify():
             self.stats.notifies_sent += 1
-            if trace._ACTIVE is not None:  # hot path: skip the hook call
-                trace.instant(cpu.cpu_id, "io.doorbell", dev="blk",
+            if cpu.clock.tracer is not None:  # hot path: skip the hook
+                trace.instant(cpu, "io.doorbell", dev="blk",
                               ring="req")
             self.notify_backend(cpu)
         else:
@@ -244,8 +244,8 @@ class NetFront:
         self.stats.ring_batched_entries += n
         if self.tx_ring.push_requests_and_check_notify():
             self.stats.notifies_sent += 1
-            if trace._ACTIVE is not None:  # hot path: skip the hook call
-                trace.instant(cpu.cpu_id, "io.doorbell", dev="net",
+            if cpu.clock.tracer is not None:  # hot path: skip the hook
+                trace.instant(cpu, "io.doorbell", dev="net",
                               ring="req")
             # the notification wakes the driver domain's vcpu — paid only
             # when a notify is actually delivered, not per packet
@@ -489,8 +489,8 @@ class BalloonFront:
         self.stats.ring_batched_entries += n
         if self.ring.push_requests_and_check_notify():
             self.stats.notifies_sent += 1
-            if trace._ACTIVE is not None:  # hot path: skip the hook call
-                trace.instant(cpu.cpu_id, "io.doorbell", dev="balloon",
+            if cpu.clock.tracer is not None:  # hot path: skip the hook
+                trace.instant(cpu, "io.doorbell", dev="balloon",
                               ring="req")
             self.notify_backend(cpu)
         else:

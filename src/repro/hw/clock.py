@@ -15,13 +15,24 @@ is O(1).
 Event order is a pure function of ``(deadline, seq)`` where ``seq`` is a
 FIFO ticket from one shared counter — the determinism contract the
 simulation scheduler (:mod:`repro.sim`) builds on.
+
+The clock is also the simulation context of its time domain: the bound
+tracer, the armed fault plan, and the running scheduler live here, so
+every hook reaches them through the ``cpu.clock`` it already holds.
+Machines that share a clock (a system under test and its network peer)
+share that context; machines on distinct clocks are isolated.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
+
+if TYPE_CHECKING:
+    from repro.faults import FaultPlan
+    from repro.sim.scheduler import SimScheduler
+    from repro.trace import Tracer
 
 
 class TimerHandle:
@@ -80,6 +91,14 @@ class Clock:
         self.cycles: int = 0
         self._events: list[tuple[int, int, TimerHandle]] = []
         self._counter = itertools.count()
+        #: the simulation context (see the module docstring); each hot-path
+        #: hook's disabled cost is one ``is None`` test on these slots
+        self.tracer: Optional["Tracer"] = None
+        self.fault_plan: Optional["FaultPlan"] = None
+        self.sched: Optional["SimScheduler"] = None
+        #: lifetime count of faults injected in this time domain
+        #: (monotonic across plans; metrics snapshots diff it)
+        self.faults_injected = 0
 
     # -- time ------------------------------------------------------------
 

@@ -238,9 +238,9 @@ class MetricsCollector:
                 snap.recoveries = recovery.recoveries
                 snap.recovery_failures = recovery.recovery_failures
                 snap.emergency_detaches = recovery.emergency_detaches
-        from repro import faults, trace
-        snap.faults_injected = faults.injected_total()
-        tracer = trace.active()
+        clock = self.machine.clock
+        snap.faults_injected = clock.faults_injected
+        tracer = clock.tracer
         if tracer is not None:
             snap.trace_events = tracer.recorded
             snap.trace_dropped = tracer.dropped
@@ -255,9 +255,10 @@ class MetricsCollector:
     def switch_phases(self, tracer: Optional["trace.Tracer"] = None
                       ) -> dict[str, "trace.PhaseStat"]:
         """Per-phase switch-latency breakdown (§7.4 decomposition) from the
-        given tracer, or the installed one.  Empty when nothing is traced."""
+        given tracer, or the one bound to the machine's clock.  Empty when
+        nothing is traced."""
         from repro import trace
-        tracer = tracer if tracer is not None else trace.active()
+        tracer = tracer if tracer is not None else self.machine.clock.tracer
         if tracer is None:
             return {}
         return trace.phase_summary(tracer.events(),

@@ -25,7 +25,7 @@ across workers under conservative time-window barriers, and
 
 from repro.sim.task import (Join, SimState, SimTask, Sleep, SleepUntil,
                             WaitFor, Yield)
-from repro.sim.scheduler import (SimDeadlock, SimError, SimScheduler, active,
+from repro.sim.scheduler import (SimDeadlock, SimError, SimScheduler,
                                  preempt_point, run_to_completion)
 from repro.sim.shard import (FleetMessage, FleetNode, Shard, ShardError,
                              ShardReport, sort_batch)
@@ -34,7 +34,7 @@ from repro.sim.pool import (DEFAULT_WINDOW_CYCLES, FleetResult, ShardedSim,
 
 __all__ = [
     "Join", "SimState", "SimTask", "Sleep", "SleepUntil", "WaitFor", "Yield",
-    "SimDeadlock", "SimError", "SimScheduler", "active", "preempt_point",
+    "SimDeadlock", "SimError", "SimScheduler", "preempt_point",
     "run_to_completion",
     "FleetMessage", "FleetNode", "Shard", "ShardError", "ShardReport",
     "sort_batch",

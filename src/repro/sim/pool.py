@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import traceback
 from dataclasses import dataclass, field
 from math import ceil
 from typing import Any, Callable, Iterable, Optional, Sequence
@@ -97,8 +98,8 @@ class _InlineShard:
 def _shard_worker(conn, shard_id, indices, builder, seed, kwargs,
                   min_latency) -> None:
     """Worker-process loop: build once, then step/collect/exit on demand.
-    Errors are forwarded as ("error", text) so the parent can raise with
-    context instead of hanging on a dead pipe."""
+    Errors are forwarded as ("error", traceback text) so the parent can
+    raise with context instead of hanging on a dead pipe."""
     try:
         shard = _build_shard(shard_id, indices, builder, seed, kwargs,
                              min_latency)
@@ -114,9 +115,9 @@ def _shard_worker(conn, shard_id, indices, builder, seed, kwargs,
                 return
             else:  # pragma: no cover - protocol misuse
                 raise ShardError(f"unknown shard op {op!r}")
-    except BaseException as exc:
+    except Exception:
         try:
-            conn.send(("error", f"{type(exc).__name__}: {exc}"))
+            conn.send(("error", traceback.format_exc()))
         except Exception:  # pragma: no cover - parent already gone
             pass
     finally:
@@ -129,6 +130,8 @@ class _ProcessShard:
     def __init__(self, ctx, shard_id, indices, builder, seed, kwargs,
                  min_latency):
         self.shard_id = shard_id
+        #: what the worker is doing, for error reports
+        self._doing = "building"
         self._conn, child = ctx.Pipe()
         self._proc = ctx.Process(
             target=_shard_worker,
@@ -140,26 +143,27 @@ class _ProcessShard:
         self._expect("ready")
 
     def _expect(self, tag: str):
+        where = f"shard {self.shard_id} ({self._doing})"
         try:
             kind, payload = self._conn.recv()
         except EOFError:
-            raise ShardError(
-                f"shard {self.shard_id} worker died (exitcode="
-                f"{self._proc.exitcode})") from None
+            raise ShardError(f"{where} worker died (exitcode="
+                             f"{self._proc.exitcode})") from None
         if kind == "error":
-            raise ShardError(f"shard {self.shard_id} failed: {payload}")
+            raise ShardError(f"{where} failed:\n{payload}")
         if kind != tag:  # pragma: no cover - protocol misuse
-            raise ShardError(
-                f"shard {self.shard_id}: expected {tag!r}, got {kind!r}")
+            raise ShardError(f"{where}: expected {tag!r}, got {kind!r}")
         return payload
 
     def step_begin(self, horizon, inbound) -> None:
+        self._doing = f"stepping to horizon {horizon}"
         self._conn.send(("step", (horizon, inbound)))
 
     def step_end(self) -> ShardReport:
         return self._expect("report")
 
     def collect(self) -> dict:
+        self._doing = "collecting"
         self._conn.send(("collect", None))
         return self._expect("data")
 
@@ -253,10 +257,11 @@ class ShardedSim:
 
     # ------------------------------------------------------------------
 
-    def _spawn_handles(self) -> list:
+    def _spawn_handles(self, handles: list) -> None:
+        """Start every shard, appending each handle as it comes up (so the
+        caller can close the live ones if a later shard fails to build)."""
         ctx = multiprocessing.get_context("spawn") \
             if self.transport == "process" else None
-        handles = []
         for shard_id in range(self.workers):
             indices = [i for i in range(self.num_machines)
                        if self.shard_of[i] == shard_id]
@@ -266,12 +271,12 @@ class ShardedSim:
                 handles.append(_InlineShard(*args))
             else:
                 handles.append(_ProcessShard(ctx, *args))
-        return handles
 
     def run(self) -> FleetResult:
         """Run the fleet to quiescence and return the merged result."""
-        handles = self._spawn_handles()
+        handles: list = []
         try:
+            self._spawn_handles(handles)
             windows, messages = self._barrier_loop(handles)
             return self._gather(handles, windows, messages)
         finally:

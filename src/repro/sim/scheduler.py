@@ -53,25 +53,17 @@ class SimDeadlock(SimError):
     """Every task is blocked and nothing can advance simulated time."""
 
 
-#: the installed scheduler, if any (same pattern as ``repro.faults`` /
-#: ``repro.trace``: one module-level slot, hot-path guard is one ``is None``
-#: test)
-_ACTIVE: Optional["SimScheduler"] = None
-
-
-def active() -> Optional["SimScheduler"]:
-    return _ACTIVE
-
-
 def preempt_point(cpu: "Cpu") -> int:
     """An interrupt window: fire due events and deliver pending vectors.
 
-    No-op unless a scheduler is running and ``cpu`` has interrupts enabled.
+    No-op unless a scheduler is running on ``cpu``'s clock
+    (``clock.sched``; the hot-path guard is one ``is None`` test) and
+    ``cpu`` has interrupts enabled.
     Instrumented code (the ``sensitive`` wrapper, ``user_compute``) calls
     this so that timer deadlines landing mid-execution are serviced *where
     simulated time says they land*, not at the next run-to-completion
     boundary."""
-    sched = _ACTIVE
+    sched = cpu.clock.sched
     if sched is None:
         return 0
     return sched.pump(cpu)
@@ -135,7 +127,7 @@ class SimScheduler:
                        kernel=kernel, proc=proc)
         self.tasks.append(task)
         self._make_ready(task)
-        trace.instant(cpu.cpu_id, "sim.task-spawn", task=task.name)
+        trace.instant(cpu, "sim.task-spawn", task=task.name)
         return task
 
     def _make_ready(self, task: SimTask, at_cycle: Optional[int] = None
@@ -183,11 +175,7 @@ class SimScheduler:
         """Run until every task is finished.  Raises the first task
         exception, :class:`SimDeadlock` on a wedged system, or
         :class:`SimError` past ``max_steps``."""
-        self._install()
-        try:
-            self._loop(None)
-        finally:
-            self._uninstall()
+        self._run_on_clock(None)
 
     def run_window(self, horizon: int) -> bool:
         """Advance every runnable work item keyed at or before ``horizon``.
@@ -199,22 +187,21 @@ class SimScheduler:
         deadlock here — a cross-shard message delivered at a later barrier
         may unblock them, so the fleet loop owns deadlock detection.
         Returns True once every task has finished."""
-        self._install()
-        try:
-            self._loop(int(horizon))
-        finally:
-            self._uninstall()
+        self._run_on_clock(int(horizon))
         return self.finished
 
-    def _install(self) -> None:
-        global _ACTIVE
-        if _ACTIVE is not None:
-            raise SimError("a SimScheduler is already installed")
-        _ACTIVE = self
-
-    def _uninstall(self) -> None:
-        global _ACTIVE
-        _ACTIVE = None
+    def _run_on_clock(self, horizon: Optional[int]) -> None:
+        """Run the loop as its clock's scheduler, so the preempt points of
+        every CPU on this clock pump it."""
+        clock = self.clock
+        if clock.sched is not None:
+            raise SimError(
+                "a SimScheduler is already installed on this clock")
+        clock.sched = self
+        try:
+            self._loop(horizon)
+        finally:
+            clock.sched = None
 
     @property
     def finished(self) -> bool:
@@ -308,18 +295,18 @@ class SimScheduler:
         if task.kernel is not None:
             self._restore_guest_context(task)
         try:
-            with trace.span(cpu.cpu_id, "sim.slice", task=task.name):
+            with trace.span(cpu, "sim.slice", task=task.name):
                 point = task.gen.send(None)
         except StopIteration as stop:
             task.state = SimState.DONE
             task.result = stop.value
-            trace.instant(cpu.cpu_id, "sim.task-end", task=task.name)
+            trace.instant(cpu, "sim.task-end", task=task.name)
             self._save_guest_context(task)
             return
         except BaseException as exc:
             task.state = SimState.FAILED
             task.error = exc
-            trace.instant(cpu.cpu_id, "sim.task-fail", task=task.name)
+            trace.instant(cpu, "sim.task-fail", task=task.name)
             self._save_guest_context(task)
             raise
         self._save_guest_context(task)
@@ -331,12 +318,12 @@ class SimScheduler:
             self._make_ready(task)
         elif isinstance(point, Sleep):
             self._make_ready(task, at_cycle=self.clock.cycles + point.cycles)
-            trace.instant(task.cpu.cpu_id, "sim.task-sleep", task=task.name,
+            trace.instant(task.cpu, "sim.task-sleep", task=task.name,
                           cycles=point.cycles)
         elif isinstance(point, SleepUntil):
             self._make_ready(task,
                              at_cycle=max(self.clock.cycles, point.cycle))
-            trace.instant(task.cpu.cpu_id, "sim.task-sleep", task=task.name,
+            trace.instant(task.cpu, "sim.task-sleep", task=task.name,
                           until_cycle=point.cycle)
         elif isinstance(point, Join):
             target = point.task
@@ -357,7 +344,7 @@ class SimScheduler:
         task.state = SimState.BLOCKED
         task.waiting = wait
         self._blocked.append(task)
-        trace.instant(task.cpu.cpu_id, "sim.task-block", task=task.name)
+        trace.instant(task.cpu, "sim.task-block", task=task.name)
 
     # ------------------------------------------------------------------
     # guest-process context

@@ -4,7 +4,8 @@ The sharded simulation (:mod:`repro.sim.pool`) partitions a fleet of
 machines across shards — each shard a plain object here, hosted either
 in-process or in a worker process.  Every machine keeps its *own*
 :class:`~repro.hw.clock.Clock`, :class:`~repro.sim.scheduler.SimScheduler`
-and :class:`~repro.trace.Tracer`; machines interact **only** through
+and :class:`~repro.trace.Tracer`, the tracer bound to the clock for the
+node's whole life in its shard; machines interact **only** through
 :class:`FleetMessage` values exchanged at time-window barriers.
 
 The determinism contract has three legs:
@@ -92,10 +93,6 @@ class FleetNode:
         self._outbox: list[FleetMessage] = []
         self.messages_sent = 0
         self.messages_received = 0
-        #: node-local fault attribution — scenarios that inject faults
-        #: into this machine's stack increment this themselves; the
-        #: process-global plan counter is meaningless in a fleet
-        self.faults_injected = 0
 
     # -- messaging -------------------------------------------------------
 
@@ -118,7 +115,7 @@ class FleetNode:
                            src_seq=self.machine.clock.next_seq())
         self._outbox.append(msg)
         self.messages_sent += 1
-        trace.instant(0, "fleet.msg-post", kind=kind)
+        trace.instant(self.machine.boot_cpu, "fleet.msg-post", kind=kind)
         return msg
 
     def take_outbox(self) -> list[FleetMessage]:
@@ -131,21 +128,21 @@ class FleetNode:
         ran past it).  Default: record into :attr:`inbox`."""
         self.inbox.append(msg)
         self.messages_received += 1
-        trace.instant(0, "fleet.msg-deliver", kind=msg.kind)
+        trace.instant(self.machine.boot_cpu, "fleet.msg-deliver",
+                      kind=msg.kind)
 
     # -- execution -------------------------------------------------------
 
     def spawn_traced(self, gen: Generator, **kwargs):
-        """Spawn a task with this node's tracer installed, so the spawn
-        event lands in this node's ring (builders run outside
-        :meth:`advance`)."""
+        """Spawn a task with this node's tracer bound, so the spawn event
+        lands in this node's ring (builders run before :meth:`Shard.add`
+        binds the tracer for good)."""
         with trace.tracing(self.tracer):
             return self.sched.spawn(gen, **kwargs)
 
     def advance(self, horizon: int) -> bool:
-        """Run this machine's window under its own tracer."""
-        with trace.tracing(self.tracer):
-            return self.sched.run_window(horizon)
+        """Run this machine's window."""
+        return self.sched.run_window(horizon)
 
     @property
     def finished(self) -> bool:
@@ -158,17 +155,7 @@ class FleetNode:
         return MetricsCollector(self.machine)
 
     def snapshot(self) -> MetricsSnapshot:
-        snap = self.collector().snapshot()
-        # The collector reads two process-globals — the installed fault
-        # plan's counter and the *active* tracer — that cannot be
-        # attributed to one machine of a fleet and would make the
-        # snapshot depend on which process hosts the node (breaking leg
-        # 1 of the determinism contract).  Rebind them to this node's
-        # own structures.
-        snap.faults_injected = self.faults_injected
-        snap.trace_events = self.tracer.recorded
-        snap.trace_dropped = self.tracer.dropped
-        return snap
+        return self.collector().snapshot()
 
     def canonical_trace(self) -> list[str]:
         return trace.canonical_lines(self.tracer.events())
@@ -214,6 +201,8 @@ class Shard:
         if node.index in self.nodes:
             raise ShardError(f"duplicate machine index {node.index}")
         node.min_latency = self.min_latency
+        # bound once built, so build-time events stay unrecorded
+        node.machine.clock.tracer = node.tracer
         self.nodes[node.index] = node
 
     def _deliver(self, msg: FleetMessage) -> None:

@@ -12,9 +12,13 @@ split-driver doorbell path.
 
 Design rules:
 
-- **Near-zero cost when disabled.**  Every hook starts with one
-  ``_ACTIVE is None`` test and returns.  No tracer installed — no
+- **Near-zero cost when disabled.**  A tracer is bound to one clock
+  (``clock.tracer``), and every hook starts with one
+  ``cpu.clock.tracer is None`` test and returns.  No tracer bound — no
   allocation, no clock read, no string formatting.
+- **Per time domain.**  A hook records only into the tracer of the clock
+  its CPU runs on, so machines on distinct clocks never see each other's
+  events, however many share one process.
 - **Observation only.**  The tracer never calls :meth:`Cpu.charge` or
   advances the clock; enabling it cannot perturb a single simulated cycle
   (``tests/integration/test_trace_equivalence.py`` proves it).
@@ -51,6 +55,7 @@ from typing import TYPE_CHECKING, Iterator, Optional
 
 if TYPE_CHECKING:
     from repro.hw.clock import Clock
+    from repro.hw.cpu import Cpu
 
 #: event kinds (Chrome trace_event phase letters)
 BEGIN = "B"
@@ -108,7 +113,7 @@ class _CpuRing:
 
 
 class Tracer:
-    """Records events against one machine's clock until uninstalled."""
+    """Records events against one clock while bound to it."""
 
     def __init__(self, clock: "Clock", capacity_per_cpu: int = DEFAULT_CAPACITY):
         if capacity_per_cpu < 1:
@@ -185,82 +190,58 @@ class Tracer:
         self._rings.clear()
 
 
-# ---------------------------------------------------------------------------
-# the active tracer (module scope == machine-wide scope, like repro.faults;
-# the simulator is single-threaded)
-# ---------------------------------------------------------------------------
-
-_ACTIVE: Optional[Tracer] = None
-
-
-def install(tracer: Tracer) -> None:
-    global _ACTIVE
-    _ACTIVE = tracer
-
-
-def uninstall() -> None:
-    global _ACTIVE
-    _ACTIVE = None
-
-
-def active() -> Optional[Tracer]:
-    return _ACTIVE
-
-
-def enabled() -> bool:
-    return _ACTIVE is not None
-
-
 @contextmanager
 def tracing(target,
             capacity_per_cpu: int = DEFAULT_CAPACITY) -> Iterator[Tracer]:
-    """Install a tracer for the duration of a with-block.
+    """Bind a tracer to its clock for the duration of a with-block.
 
-    ``target`` is a ready-made :class:`Tracer`, a clock, or anything with
-    a ``.clock`` attribute (a ``Machine``) to build a fresh tracer
-    against."""
+    ``target`` is a ready-made :class:`Tracer` (bound to ``tracer.clock``),
+    a clock, or anything with a ``.clock`` attribute (a ``Machine``) to
+    build a fresh tracer against.  On exit the clock's previous tracer is
+    bound again."""
     if isinstance(target, Tracer):
         tracer = target
     else:
         clock = getattr(target, "clock", target)
         tracer = Tracer(clock, capacity_per_cpu=capacity_per_cpu)
-    install(tracer)
+    clock = tracer.clock
+    previous, clock.tracer = clock.tracer, tracer
     try:
         yield tracer
     finally:
-        uninstall()
+        clock.tracer = previous
 
 
-# -- the pipeline hooks (near-zero cost when no tracer is installed) --------
+# -- the pipeline hooks (near-zero cost when the CPU's clock has no tracer) --
 
-def begin(cpu_id: int, name: str, **args) -> None:
-    if _ACTIVE is None:
-        return
-    _ACTIVE.begin(cpu_id, name, **args)
-
-
-def end(cpu_id: int, name: str, **args) -> None:
-    if _ACTIVE is None:
-        return
-    _ACTIVE.end(cpu_id, name, **args)
+def begin(cpu: "Cpu", name: str, **args) -> None:
+    tracer = cpu.clock.tracer
+    if tracer is not None:
+        tracer.begin(cpu.cpu_id, name, **args)
 
 
-def instant(cpu_id: int, name: str, **args) -> None:
-    if _ACTIVE is None:
-        return
-    _ACTIVE.instant(cpu_id, name, **args)
+def end(cpu: "Cpu", name: str, **args) -> None:
+    tracer = cpu.clock.tracer
+    if tracer is not None:
+        tracer.end(cpu.cpu_id, name, **args)
+
+
+def instant(cpu: "Cpu", name: str, **args) -> None:
+    tracer = cpu.clock.tracer
+    if tracer is not None:
+        tracer.instant(cpu.cpu_id, name, **args)
 
 
 @contextmanager
-def span(cpu_id: int, name: str, **args) -> Iterator[None]:
-    """Begin/end pair guaranteed to match across exceptions.  The enabled
+def span(cpu: "Cpu", name: str, **args) -> Iterator[None]:
+    """Begin/end pair guaranteed to match across exceptions.  The bound
     check happens at both edges so the pair stays balanced even if a tracer
-    is (un)installed mid-span."""
-    begin(cpu_id, name, **args)
+    is (un)bound mid-span."""
+    begin(cpu, name, **args)
     try:
         yield
     finally:
-        end(cpu_id, name)
+        end(cpu, name)
 
 
 # ---------------------------------------------------------------------------

@@ -208,8 +208,8 @@ class BlkBack(_NapiBackend):
             self.stats.ring_batched_entries += len(batch)
             if self.ring.push_responses_and_check_notify():
                 self.stats.notifies_sent += 1
-                if trace._ACTIVE is not None:  # hot path: skip the hook
-                    trace.instant(cpu.cpu_id, "io.doorbell", dev="blk",
+                if cpu.clock.tracer is not None:  # hot path: skip the hook
+                    trace.instant(cpu, "io.doorbell", dev="blk",
                                   ring="resp")
                 self.notify_frontend(cpu)
             else:
@@ -326,8 +326,8 @@ class BalloonBack(_NapiBackend):
             self.stats.ring_batched_entries += len(batch)
             if self.ring.push_responses_and_check_notify():
                 self.stats.notifies_sent += 1
-                if trace._ACTIVE is not None:  # hot path: skip the hook
-                    trace.instant(cpu.cpu_id, "io.doorbell", dev="balloon",
+                if cpu.clock.tracer is not None:  # hot path: skip the hook
+                    trace.instant(cpu, "io.doorbell", dev="balloon",
                                   ring="resp")
                 self.notify_frontend(cpu)
             else:
@@ -415,8 +415,8 @@ class NetBack(_NapiBackend):
             self.stats.ring_batched_entries += len(batch)
             if self.tx_ring.push_responses_and_check_notify():
                 self.stats.notifies_sent += 1
-                if trace._ACTIVE is not None:  # hot path: skip the hook
-                    trace.instant(cpu.cpu_id, "io.doorbell", dev="net",
+                if cpu.clock.tracer is not None:  # hot path: skip the hook
+                    trace.instant(cpu, "io.doorbell", dev="net",
                                   ring="resp")
                 self.notify_frontend(cpu)
             else:

@@ -55,7 +55,8 @@ def mmu_update(vmm: "Hypervisor", cpu: "Cpu", domain: "Domain",
     semantics, verbatim), and caches per-address-space state across runs of
     consecutive entries — registration and PGD pinned-ness cannot change
     mid-batch, nothing here reenters the hypercall layer."""
-    if faults.fire(faults.MMU_UPDATE_TRANSIENT, cpu_id=cpu.cpu_id):
+    if faults.fire(faults.MMU_UPDATE_TRANSIENT, cpu.clock,
+                   cpu.cpu_id):
         # rejected before any entry is applied: the batch is all-or-nothing
         # from the guest's point of view, so a transient refusal is safe to
         # retry and corrupts nothing

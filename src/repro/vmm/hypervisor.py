@@ -186,8 +186,8 @@ class Hypervisor:
         self.hypercalls_served += 1
         counts = self.hypercall_counts
         counts[name] = counts.get(name, 0) + 1
-        if trace._ACTIVE is not None:  # hot path: skip the hook call
-            trace.instant(cpu.cpu_id, "hypercall", call=name)
+        if cpu.clock.tracer is not None:  # hot path: skip the hook
+            trace.instant(cpu, "hypercall", call=name)
         return fn(self, cpu, domain, *args)
 
     # ------------------------------------------------------------------

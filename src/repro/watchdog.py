@@ -153,7 +153,7 @@ class Watchdog:
             verdict.detected_cycles = self.machine.clock.cycles
             if self.pending_verdict is None:
                 self.pending_verdict = verdict
-            trace.instant(cpu.cpu_id if cpu is not None else 0,
+            trace.instant(cpu or self.machine.boot_cpu,
                           "watchdog.corruption",
                           invariant=verdict.invariant)
         return verdict

@@ -85,21 +85,20 @@ def test_same_plan_same_workload_same_injections():
     assert run() == run()
 
 
-def test_fire_is_noop_without_a_plan():
-    faults.clear_plan()
-    before = faults.injected_total()
-    assert faults.fire(faults.TRANSFER_HYPERCALL) is False
-    assert faults.injected_total() == before
+def test_fire_is_noop_without_a_plan(machine):
+    assert faults.fire(faults.TRANSFER_HYPERCALL, machine.clock) is False
+    assert machine.clock.faults_injected == 0
 
 
-def test_injected_context_manager_installs_and_clears():
+def test_injected_context_manager_installs_and_clears(machine):
     plan = faults.FaultPlan()
     plan.arm(faults.TRANSFER_HYPERCALL)
-    assert faults.active_plan() is None
-    with faults.injected(plan) as p:
-        assert faults.active_plan() is p
-        assert faults.fire(faults.TRANSFER_HYPERCALL)
-    assert faults.active_plan() is None
+    assert machine.clock.fault_plan is None
+    with faults.injected(plan, machine) as p:
+        assert machine.clock.fault_plan is p
+        assert faults.fire(faults.TRANSFER_HYPERCALL, machine.clock)
+    assert machine.clock.fault_plan is None
+    assert machine.clock.faults_injected == 1
 
 
 def test_disarm_and_armed_sites():
@@ -121,7 +120,7 @@ def test_disarm_and_armed_sites():
 def test_transient_transfer_fault_retries_and_commits(mercury):
     plan = faults.FaultPlan()
     plan.arm(faults.TRANSFER_HYPERCALL, times=1)
-    with faults.injected(plan):
+    with faults.injected(plan, mercury.machine):
         rec = mercury.attach()
     assert rec is not None
     assert mercury.mode is Mode.PARTIAL_VIRTUAL
@@ -137,7 +136,7 @@ def test_transient_transfer_fault_retries_and_commits(mercury):
 def test_refcount_stuck_counts_failed_attempts(mercury):
     plan = faults.FaultPlan()
     plan.arm(faults.REFCOUNT_STUCK, times=2)
-    with faults.injected(plan):
+    with faults.injected(plan, mercury.machine):
         rec = mercury.attach()
     assert rec is not None
     assert mercury.engine.failed_attempts == 2
@@ -150,7 +149,7 @@ def test_retry_accounting_is_per_switch(mercury):
     """A later switch must not inherit an earlier switch's retry count."""
     plan = faults.FaultPlan()
     plan.arm(faults.REFCOUNT_STUCK, times=1)
-    with faults.injected(plan):
+    with faults.injected(plan, mercury.machine):
         rec1 = mercury.attach()
     assert rec1.retries == 1
     rec2 = mercury.detach()
@@ -162,7 +161,7 @@ def test_retry_accounting_is_per_switch(mercury):
 def test_persistent_fault_aborts_after_the_retry_budget(mercury):
     plan = faults.FaultPlan()
     plan.arm(faults.TRANSFER_HYPERCALL, times=None)
-    with faults.injected(plan):
+    with faults.injected(plan, mercury.machine):
         with pytest.raises(SwitchAborted) as ei:
             mercury.attach()
     exc = ei.value
@@ -182,7 +181,7 @@ def test_persistent_fault_aborts_after_the_retry_budget(mercury):
 def test_busy_abort_unwinds_the_pending_request(mercury):
     plan = faults.FaultPlan()
     plan.arm(faults.REFCOUNT_STUCK, times=None)
-    with faults.injected(plan):
+    with faults.injected(plan, mercury.machine):
         with pytest.raises(SwitchAborted):
             mercury.attach()
     engine = mercury.engine
@@ -200,7 +199,7 @@ def test_backoff_is_exponential_and_capped(mercury):
     plan.arm(faults.REFCOUNT_STUCK, times=None)
     freq = mercury.machine.config.cost.freq_mhz
     start = mercury.machine.clock.cycles
-    with faults.injected(plan):
+    with faults.injected(plan, mercury.machine):
         with pytest.raises(SwitchAborted):
             mercury.attach()
     elapsed_ms = (mercury.machine.clock.cycles - start) / (freq * 1000)
@@ -215,7 +214,7 @@ def test_metrics_snapshot_carries_dependability_counters(mercury):
     before = collector.snapshot()
     plan = faults.FaultPlan()
     plan.arm(faults.TRANSFER_HYPERCALL, times=1)
-    with faults.injected(plan):
+    with faults.injected(plan, mercury.machine):
         mercury.attach()
     delta = collector.snapshot() - before
     assert delta.faults_injected == 1
@@ -231,7 +230,7 @@ def test_secondary_reload_fault_recovers_on_smp(machine2):
     mercury.create_kernel(image_pages=16)
     plan = faults.FaultPlan()
     plan.arm(faults.RELOAD_SECONDARY, times=1, cpu_id=1)
-    with faults.injected(plan):
+    with faults.injected(plan, mercury.machine):
         rec = mercury.attach()
     assert rec is not None
     assert rec.rollbacks >= 1
@@ -265,7 +264,7 @@ def test_mmu_transient_fault_preserves_the_lazy_queue(mercury):
 
     plan = faults.FaultPlan()
     plan.arm(faults.MMU_UPDATE_TRANSIENT, times=1)
-    with faults.injected(plan):
+    with faults.injected(plan, mercury.machine):
         with pytest.raises(HypercallError):
             vo.lazy_mmu_end(cpu)
     # nothing applied, nothing lost

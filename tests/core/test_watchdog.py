@@ -37,7 +37,7 @@ EXPECTED_INVARIANT = {
     faults.VMM_CHANNEL_WEDGED: "channel-masks",
     faults.VMM_BACKEND_DEAD: "backend-liveness",
     faults.VMM_GRANT_POISONED: "grant-refs",
-    faults.VMM_REFCOUNT_BALLOON: "vo-refcount",
+    faults.VMM_REFCOUNT_RUNAWAY: "vo-refcount",
     faults.VMM_TRAP_VECTOR_DROPPED: "trap-table",
 }
 
@@ -114,7 +114,7 @@ def test_suspect_counter_resets_when_condition_clears():
 def test_first_verdict_is_kept_and_take_verdict_clears():
     mercury = _stack()
     watchdog = Watchdog(mercury, suspect_scans=1)
-    faults.inject_vmm_fault(faults.VMM_REFCOUNT_BALLOON, mercury)
+    faults.inject_vmm_fault(faults.VMM_REFCOUNT_RUNAWAY, mercury)
     first = watchdog.scan()
     second = watchdog.scan()
     assert second is not None

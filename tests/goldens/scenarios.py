@@ -76,7 +76,7 @@ def attach_rollback_up() -> list[str]:
     mercury.engine.max_retries = 0
     plan = faults.FaultPlan()
     plan.arm(faults.TRANSFER_HYPERCALL, times=None)
-    with trace.tracing(machine) as tracer, faults.injected(plan):
+    with trace.tracing(machine) as tracer, faults.injected(plan, machine):
         try:
             mercury.attach()
         except SwitchAborted:
@@ -94,7 +94,7 @@ def detach_rollback_smp() -> list[str]:
     mercury.engine.max_retries = 0
     plan = faults.FaultPlan()
     plan.arm(faults.RELOAD_SECONDARY, cpu_id=1, times=None)
-    with trace.tracing(machine) as tracer, faults.injected(plan):
+    with trace.tracing(machine) as tracer, faults.injected(plan, machine):
         try:
             mercury.detach()
         except SwitchAborted:

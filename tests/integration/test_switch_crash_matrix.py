@@ -110,7 +110,7 @@ def test_persistent_fault_aborts_and_rolls_back(site_name, direction, ncpus):
     plan = faults.FaultPlan()
     plan.arm(site_name, times=None)
     latency_only = site_name == faults.IPI_DELAYED
-    with faults.injected(plan):
+    with faults.injected(plan, mercury.machine):
         if latency_only:
             rec = _switch(mercury, direction)
             assert rec is not None
@@ -150,7 +150,7 @@ def test_single_transient_fault_recovers_unattended(site_name, direction,
 
     plan = faults.FaultPlan()
     plan.arm(site_name, times=1)
-    with faults.injected(plan):
+    with faults.injected(plan, mercury.machine):
         rec = _switch(mercury, direction)
 
     assert rec is not None
@@ -197,7 +197,7 @@ def test_attach_rollback_restores_dirty_roots_exactly(ncpus):
 
     plan = faults.FaultPlan()
     plan.arm(faults.PT_TRANSFER_ABORT, times=None)
-    with faults.injected(plan):
+    with faults.injected(plan, mercury.machine):
         with pytest.raises(SwitchAborted):
             mercury.attach()
 

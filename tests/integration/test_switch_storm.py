@@ -77,7 +77,6 @@ def _apply(mercury: Mercury, plan: faults.FaultPlan, op, state) -> None:
 
 def _settle(mercury: Mercury) -> None:
     """Fault-free quiesce: let every leftover retry timer run to its end."""
-    faults.clear_plan()
     for _ in range(200):
         if mercury.machine.clock.next_deadline() is None:
             break
@@ -95,17 +94,14 @@ def test_storm_always_settles_into_a_consistent_mode(ops):
     mercury = _fresh()
     plan = faults.FaultPlan()
     state = {"children": []}
-    try:
-        with faults.injected(plan):
-            for op in ops:
-                try:
-                    _apply(mercury, plan, op, state)
-                except ReproError:
-                    # aborted/vetoed operations are allowed; torn state is not
-                    pass
-                assert mercury.mode in (Mode.NATIVE, Mode.PARTIAL_VIRTUAL)
-    finally:
-        faults.clear_plan()
+    with faults.injected(plan, mercury.machine):
+        for op in ops:
+            try:
+                _apply(mercury, plan, op, state)
+            except ReproError:
+                # aborted/vetoed operations are allowed; torn state is not
+                pass
+            assert mercury.mode in (Mode.NATIVE, Mode.PARTIAL_VIRTUAL)
     _settle(mercury)
 
     # the property: exactly one well-defined mode, all invariants green
@@ -132,15 +128,12 @@ def test_storm_metrics_never_go_inconsistent(ops):
     mercury = _fresh()
     plan = faults.FaultPlan()
     state = {"children": []}
-    try:
-        with faults.injected(plan):
-            for op in ops:
-                try:
-                    _apply(mercury, plan, op, state)
-                except ReproError:
-                    pass
-    finally:
-        faults.clear_plan()
+    with faults.injected(plan, mercury.machine):
+        for op in ops:
+            try:
+                _apply(mercury, plan, op, state)
+            except ReproError:
+                pass
     _settle(mercury)
 
     snap = MetricsCollector(mercury.machine, kernel=mercury.kernel,

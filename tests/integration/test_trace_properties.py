@@ -33,15 +33,12 @@ def test_storm_trace_is_well_formed(ops):
     plan = faults.FaultPlan()
     state = {"children": []}
     with trace.tracing(mercury.machine) as tracer:
-        try:
-            with faults.injected(plan):
-                for op in ops:
-                    try:
-                        _apply(mercury, plan, op, state)
-                    except ReproError:
-                        pass
-        finally:
-            faults.clear_plan()
+        with faults.injected(plan, mercury.machine):
+            for op in ops:
+                try:
+                    _apply(mercury, plan, op, state)
+                except ReproError:
+                    pass
         _settle(mercury)
     assert trace.validate(tracer.events(), dropped=tracer.dropped) == []
 
@@ -62,7 +59,8 @@ def test_aborted_switch_trace_balances(site, start_attached):
     mercury.engine.max_retries = 0
     plan = faults.FaultPlan()
     plan.arm(site, times=None)
-    with trace.tracing(mercury.machine) as tracer, faults.injected(plan):
+    with trace.tracing(mercury.machine) as tracer, \
+            faults.injected(plan, mercury.machine):
         try:
             if start_attached:
                 mercury.detach()
@@ -83,7 +81,8 @@ def test_aborted_smp_switch_trace_balances(site):
     mercury.engine.max_retries = 0
     plan = faults.FaultPlan()
     plan.arm(site, times=None)
-    with trace.tracing(mercury.machine) as tracer, faults.injected(plan):
+    with trace.tracing(mercury.machine) as tracer, \
+            faults.injected(plan, mercury.machine):
         try:
             mercury.attach()
         except ReproError:

@@ -155,7 +155,7 @@ def test_healer_consumes_pending_watchdog_verdict(mercury):
 
 def test_healer_runs_its_own_scan_when_none_pending(mercury):
     watchdog, recovery = _vmm_stack(mercury)
-    faults.inject_vmm_fault(faults.VMM_REFCOUNT_BALLOON, mercury)
+    faults.inject_vmm_fault(faults.VMM_REFCOUNT_RUNAWAY, mercury)
     assert watchdog.pending_verdict is None
 
     records = SelfHealer(mercury).scan()

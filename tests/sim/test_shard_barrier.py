@@ -183,20 +183,22 @@ def test_blocked_fleet_with_no_messages_deadlocks(workers):
 
 def test_snapshot_ignores_process_global_fault_counter():
     """A fleet node's snapshot must be a pure function of the node: a
-    fault counter leaked into this process by unrelated code (earlier
-    tests, a co-hosted episode) must not show up — otherwise the serial
-    run and a spawned worker's run disagree."""
+    fault injected elsewhere in this process (earlier tests, a co-hosted
+    episode) must not show up — otherwise the serial run and a spawned
+    worker's run disagree.  Faults on the node's own clock do count."""
     from repro import faults
 
+    other = _machine()
     plan = faults.FaultPlan()
-    plan.arm("transfer.hypercall-error", trigger_at=1)
-    baseline = faults.injected_total()
-    with faults.injected(plan):
-        assert faults.fire("transfer.hypercall-error")
-    assert faults.injected_total() == baseline + 1
+    plan.arm("transfer.hypercall-error", trigger_at=1, times=None)
+    with faults.injected(plan, other):
+        assert faults.fire("transfer.hypercall-error", other.clock)
     node = FleetNode(0, _machine())
     assert node.snapshot().faults_injected == 0
-    node.faults_injected = 3
+    with faults.injected(plan, node.machine):
+        for _ in range(3):
+            assert faults.fire("transfer.hypercall-error",
+                               node.machine.clock)
     assert node.snapshot().faults_injected == 3
 
 
@@ -205,3 +207,20 @@ def test_duplicate_machine_index_rejected():
     shard.add(FleetNode(0, _machine()))
     with pytest.raises(ShardError, match="duplicate"):
         shard.add(FleetNode(0, _machine()))
+
+
+def test_process_worker_failure_names_the_raising_function():
+    """A builder that raises in a spawned worker surfaces as a ShardError
+    carrying the worker's traceback and the shard's phase."""
+    from repro.fleet.orchestrator import build_fleet_node
+
+    # the service nodes are too small to load their kernel images; shard 0
+    # (machines 0 and 2) is the first to report
+    sim = ShardedSim(build_fleet_node, 3, workers=2, transport="process",
+                     builder_kwargs={"machines": 2, "mem_kb": 8})
+    with pytest.raises(ShardError) as info:
+        sim.run()
+    text = str(info.value)
+    assert text.startswith("shard 0 (building) failed")
+    assert "in alloc_many" in text
+    assert "OutOfMemory" in text

@@ -14,7 +14,7 @@ from repro import Machine, small_config
 from repro.hw.clock import Clock
 from repro.sim import (Join, SimDeadlock, SimError, SimScheduler, SimState,
                        Sleep, WaitFor, Yield, run_to_completion)
-from repro.sim.scheduler import active, preempt_point
+from repro.sim.scheduler import preempt_point
 
 
 @pytest.fixture
@@ -249,18 +249,18 @@ def test_nested_run_rejected(sched, machine):
     sched.run()
 
 
-def test_active_slot_installed_only_while_running(sched):
+def test_active_slot_installed_only_while_running(sched, machine):
     states = []
 
     def probe():
-        states.append(active())
+        states.append(machine.clock.sched)
         yield
 
-    assert active() is None
+    assert machine.clock.sched is None
     sched.spawn(probe(), name="probe")
     sched.run()
     assert states == [sched]
-    assert active() is None
+    assert machine.clock.sched is None
 
 
 def test_preempt_point_is_noop_without_scheduler(machine):

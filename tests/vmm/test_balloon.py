@@ -125,10 +125,8 @@ def test_hypervisor_driven_victims_fault_back(hosted, cpu):
 
 
 def test_refcount_site_rename_compat():
-    assert faults.VMM_REFCOUNT_BALLOON == faults.VMM_REFCOUNT_RUNAWAY
     assert faults.VMM_REFCOUNT_RUNAWAY == "vmm.refcount-runaway"
-    assert faults.site(faults.VMM_REFCOUNT_BALLOON).during_switch is False
-    assert faults.REFCOUNT_BALLOON_AMOUNT == faults.REFCOUNT_RUNAWAY_AMOUNT
+    assert faults.site(faults.VMM_REFCOUNT_RUNAWAY).during_switch is False
 
 
 def test_balloon_wedge_requires_backend(mercury, cpu):
