@@ -70,6 +70,12 @@ class LoadBalancer:
             self.dispatches[index] = 0
         if not self.state:
             raise ValueError("balancer needs at least one machine")
+        #: machine indices in routing order; :meth:`mark` rejects unknown
+        #: indices, so the set is fixed at construction
+        self._order = sorted(self.state)
+        #: the states this policy routes to
+        self._routes = ((MachineState.READY,) if policy == "switch-aware"
+                        else (MachineState.READY, MachineState.DRAINING))
         self._rr_last = -1
 
     # -- state transitions ------------------------------------------------
@@ -109,14 +115,8 @@ class LoadBalancer:
     # -- routing ----------------------------------------------------------
 
     def _routable(self) -> List[int]:
-        allow_draining = self.policy != "switch-aware"
-        out = []
-        for index in sorted(self.state):
-            st = self.state[index]
-            if st is MachineState.READY or (
-                    allow_draining and st is MachineState.DRAINING):
-                out.append(index)
-        return out
+        state, routes = self.state, self._routes
+        return [i for i in self._order if state[i] in routes]
 
     def pick(self) -> int:
         """Choose the target for the next request (does not dispatch)."""
@@ -125,7 +125,7 @@ class LoadBalancer:
             raise NoRoutableMachine(
                 f"no routable machine under policy {self.policy!r}: "
                 + ", ".join(f"{i}={self.state[i].value}"
-                            for i in sorted(self.state)))
+                            for i in self._order))
         if self.policy == "round-robin":
             for index in routable:
                 if index > self._rr_last:
@@ -133,14 +133,15 @@ class LoadBalancer:
                     return index
             self._rr_last = routable[0]
             return routable[0]
-        # least-outstanding and switch-aware differ only in _routable()
-        return min(routable, key=lambda i: (self.outstanding[i], i))
+        # least-outstanding and switch-aware differ only in _routable();
+        # min keeps the first of equals, so ties go to the lower index
+        return min(routable, key=self.outstanding.__getitem__)
 
     def serving_machines(self) -> List[int]:
-        return [i for i in sorted(self.state)
+        return [i for i in self._order
                 if self.state[i] is not MachineState.SPARE
                 and self.state[i] is not MachineState.DOWN]
 
     def spare_machines(self) -> List[int]:
-        return [i for i in sorted(self.state)
+        return [i for i in self._order
                 if self.state[i] is MachineState.SPARE]

@@ -17,10 +17,14 @@ Barrier protocol (window ``W``, horizons on the ``W`` grid)::
     loop:
       batch   = pending messages with deliver_cycle <= horizon,
                 sorted by (deliver_cycle, src, src_seq, dst)
-      reports = every shard: inject its slice of batch, run_window(horizon)
+      reports = every shard: inject its slice of batch, then run_window
+                (horizon) on its due set -- the nodes it just delivered to
+                plus those whose cached next-work cycle is <= horizon
+                (every node in the first window)
       pending += all outbound messages from reports
       done when all shards finished, no runnable work, nothing pending
-      deadlock when only blocked tasks remain and nothing is in flight
+      deadlock when only blocked tasks remain and nothing is in flight;
+                only then are the shards asked for their blocked tasks
       earliest = min(shard next-work cycles, pending deliver cycles)
       horizon  = max(horizon + W, W * ceil(earliest / W))   # skip idle gaps
 
@@ -28,7 +32,9 @@ Every quantity steering the loop (batch membership and order, the horizon
 schedule, termination) is computed from *global* information, so the
 schedule cannot depend on how machines were partitioned — that, plus
 per-machine local purity and latency >= W (see :mod:`repro.sim.shard`),
-is the whole determinism argument.
+is the whole determinism argument.  Local purity is also why a shard may
+skip the nodes outside its due set: with no delivery and nothing due,
+their window would change nothing.
 """
 
 from __future__ import annotations
@@ -46,6 +52,10 @@ from repro.metrics import MetricsSnapshot
 from repro.sim.scheduler import SimDeadlock
 from repro.sim.shard import (FleetMessage, NodeBuilder, Shard, ShardError,
                              ShardReport, sort_batch)
+
+#: seconds the parent waits for any one reply from a shard worker before
+#: reporting it hung; far above a build, a window step or a collect
+WORKER_REPLY_TIMEOUT_S = 300.0
 
 #: default barrier window: 200k cycles ~= 66 us at 3 GHz, comfortably
 #: above every per-slice cost in the model yet short against workloads
@@ -91,8 +101,11 @@ class _InlineShard:
     def collect(self) -> dict:
         return self._shard.collect()
 
+    def blocked_names(self) -> list:
+        return self._shard.blocked_names()
+
     def close(self) -> None:
-        pass
+        self._shard.close()
 
 
 def _shard_worker(conn, shard_id, indices, builder, seed, kwargs,
@@ -111,6 +124,8 @@ def _shard_worker(conn, shard_id, indices, builder, seed, kwargs,
                 conn.send(("report", shard.step(horizon, inbound)))
             elif op == "collect":
                 conn.send(("data", shard.collect()))
+            elif op == "blocked":
+                conn.send(("blocked", shard.blocked_names()))
             elif op == "exit":
                 return
             else:  # pragma: no cover - protocol misuse
@@ -144,6 +159,11 @@ class _ProcessShard:
 
     def _expect(self, tag: str):
         where = f"shard {self.shard_id} ({self._doing})"
+        if not self._conn.poll(WORKER_REPLY_TIMEOUT_S):
+            # a hung worker would not answer the exit op either
+            self._proc.terminate()
+            raise ShardError(f"{where} worker hung: no reply in "
+                             f"{WORKER_REPLY_TIMEOUT_S:g} s")
         try:
             kind, payload = self._conn.recv()
         except EOFError:
@@ -166,6 +186,11 @@ class _ProcessShard:
         self._doing = "collecting"
         self._conn.send(("collect", None))
         return self._expect("data")
+
+    def blocked_names(self) -> list:
+        self._doing = "listing blocked tasks"
+        self._conn.send(("blocked", None))
+        return self._expect("blocked")
 
     def close(self) -> None:
         try:
@@ -315,8 +340,8 @@ class ShardedSim:
                 if all_finished:
                     return windows, messages
                 blocked = ", ".join(
-                    f"m{idx}:{name}" for r in reports
-                    for idx, name in r.blocked)
+                    f"m{idx}:{name}" for handle in handles
+                    for idx, name in handle.blocked_names())
                 raise SimDeadlock(
                     f"fleet wedged at horizon {horizon}: no runnable "
                     f"work, no messages in flight; blocked: {blocked}")

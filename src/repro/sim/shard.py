@@ -30,7 +30,7 @@ algorithm on a single shard.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Generator, Optional
 
 from repro import trace
@@ -184,18 +184,29 @@ class ShardReport:
     finished: bool
     #: earliest cycle any hosted machine has runnable work at, or None
     next_cycle: Optional[int]
-    #: (machine index, task name) pairs still blocked, for deadlock reports
-    blocked: list = field(default_factory=list)
     delivered: int = 0
 
 
 class Shard:
-    """A bundle of fleet nodes stepped together between barriers."""
+    """A bundle of fleet nodes stepped together between barriers.
+
+    The shard caches each node's ``(next work cycle, finished)`` and
+    refreshes the pair only when that node advances.  By local purity
+    (leg 1) a node's state changes only through its own advance or an
+    inbound delivery, so for a node with no delivery and nothing due by
+    the horizon ``run_window`` would be a no-op: no clock movement, no seq
+    ticket, no trace event.  Such a node is skipped, not advanced."""
 
     def __init__(self, shard_id: int, min_latency: int):
         self.shard_id = shard_id
         self.min_latency = min_latency
         self.nodes: dict[int, FleetNode] = {}
+        #: machine index -> (next work cycle or None, finished)
+        self._cached: dict[int, tuple] = {}
+        #: nodes changed from outside their own advance since the last
+        #: step: newly added ones (a builder may have posted) and, during a
+        #: step, the destinations of its inbound batch
+        self._touched: set[int] = set()
 
     def add(self, node: FleetNode) -> None:
         if node.index in self.nodes:
@@ -204,6 +215,9 @@ class Shard:
         # bound once built, so build-time events stay unrecorded
         node.machine.clock.tracer = node.tracer
         self.nodes[node.index] = node
+        self._cached[node.index] = (node.sched.next_work_cycle(),
+                                    node.finished)
+        self._touched.add(node.index)
 
     def _deliver(self, msg: FleetMessage) -> None:
         node = self.nodes.get(msg.dst)
@@ -213,37 +227,46 @@ class Shard:
                 f"not hosted on shard {self.shard_id}")
         node.machine.clock.schedule_at(
             msg.deliver_cycle, lambda m=msg, n=node: n.on_message(m))
+        self._touched.add(msg.dst)
 
     def step(self, horizon: int, inbound: list[FleetMessage]) -> ShardReport:
-        """Inject this window's batch, run every node to ``horizon``, and
-        report outbound messages plus progress state.
+        """Inject this window's batch, advance the due set to ``horizon``,
+        and report outbound messages plus progress state.
 
         ``inbound`` arrives pre-sorted in canonical order; scheduling the
         deliveries in that order assigns each machine's clock tickets
-        identically under every partition."""
+        identically under every partition.  The due set is every node
+        touched since the last step (added, or a destination in
+        ``inbound``) plus every node whose cached next-work cycle is at or
+        before ``horizon``; it advances in index order, and ``finished`` /
+        ``next_cycle`` fold over the cache of all nodes."""
         for msg in inbound:
             self._deliver(msg)
+        cached = self._cached
+        due = self._touched
+        self._touched = set()
+        for index, (cycle, _) in cached.items():
+            if cycle is not None and cycle <= horizon:
+                due.add(index)
         outbound: list[FleetMessage] = []
-        all_finished = True
-        next_cycles: list[int] = []
-        blocked: list = []
-        for index in sorted(self.nodes):
+        for index in sorted(due):
             node = self.nodes[index]
             finished = node.advance(horizon)
-            all_finished = all_finished and finished
             outbound.extend(node.take_outbox())
-            cycle = node.sched.next_work_cycle()
-            if cycle is not None:
-                next_cycles.append(cycle)
-            blocked.extend((index, name)
-                           for name in node.sched.blocked_names())
+            cached[index] = (node.sched.next_work_cycle(), finished)
+        cycles = [cycle for cycle, _ in cached.values() if cycle is not None]
         return ShardReport(
             shard_id=self.shard_id,
             outbound=outbound,
-            finished=all_finished,
-            next_cycle=min(next_cycles) if next_cycles else None,
-            blocked=blocked,
+            finished=all(finished for _, finished in cached.values()),
+            next_cycle=min(cycles, default=None),
             delivered=len(inbound))
+
+    def blocked_names(self) -> list:
+        """``(machine index, task name)`` for every blocked task, in index
+        order; only a fleet deadlock report asks."""
+        return [(index, name) for index in sorted(self.nodes)
+                for name in self.nodes[index].sched.blocked_names()]
 
     def collect(self) -> dict:
         """Final per-node data, in picklable primitives + dataclasses."""
@@ -256,3 +279,11 @@ class Shard:
                           self.nodes[i].tracer.dropped)
                       for i in sorted(self.nodes)},
         }
+
+    def close(self) -> None:
+        """Drop every node's trace events once collected.  A finished
+        fleet is cyclic garbage (each machine's object graph is full of
+        back-references) that lingers until a full collection; its events
+        are most of its memory, and cleared here they go at once."""
+        for node in self.nodes.values():
+            node.tracer.clear()

@@ -109,3 +109,74 @@ def test_pick_never_returns_unroutable_machine(n, policy, ops):
         ok = (MachineState.READY,) if policy == "switch-aware" else (
             MachineState.READY, MachineState.DRAINING)
         assert lb.state[pick] in ok
+
+
+class _ReferenceBalancer(LoadBalancer):
+    """The routing code as first written: re-sort every machine on every
+    pick.  The shipped balancer sorts once at construction and must pick
+    the very same sequence."""
+
+    def _routable(self):
+        allow_draining = self.policy != "switch-aware"
+        out = []
+        for index in sorted(self.state):
+            st = self.state[index]
+            if st is MachineState.READY or (
+                    allow_draining and st is MachineState.DRAINING):
+                out.append(index)
+        return out
+
+    def pick(self):
+        routable = self._routable()
+        if not routable:
+            raise NoRoutableMachine(self.policy)
+        if self.policy == "round-robin":
+            for index in routable:
+                if index > self._rr_last:
+                    self._rr_last = index
+                    return index
+            self._rr_last = routable[0]
+            return routable[0]
+        return min(routable, key=lambda i: (self.outstanding[i], i))
+
+
+@settings(max_examples=60, deadline=None)
+@given(machines=st.lists(st.integers(min_value=0, max_value=200),
+                         min_size=1, max_size=12, unique=True),
+       policy=st.sampled_from(("round-robin", "least-outstanding",
+                               "switch-aware")),
+       spare_mask=st.integers(min_value=0, max_value=2**12 - 1),
+       ops=st.lists(st.tuples(st.integers(min_value=0, max_value=11),
+                              st.integers(min_value=0, max_value=9)),
+                    max_size=80))
+def test_pick_sequence_matches_reference(machines, policy, spare_mask,
+                                         ops):
+    """Over any machine set (given in any order), policy, spare set and
+    history of marks, completions and picks, the balancer routes exactly
+    as the re-sorting reference does."""
+    spares = [m for bit, m in enumerate(machines) if spare_mask >> bit & 1]
+    lbs = [cls(machines, policy=policy, spares=spares)
+           for cls in (LoadBalancer, _ReferenceBalancer)]
+    states = list(MachineState)
+    for slot, action in ops:
+        machine = machines[slot % len(machines)]
+        outcomes = []
+        for lb in lbs:
+            if action < len(states):
+                lb.mark(machine, states[action])
+                outcomes.append(None)
+            elif action == len(states):
+                if lb.outstanding[machine]:
+                    lb.completed(machine)
+                outcomes.append(None)
+            else:
+                try:
+                    pick = lb.pick()
+                except NoRoutableMachine:
+                    outcomes.append("none")
+                    continue
+                lb.dispatched(pick)
+                outcomes.append(pick)
+        assert outcomes[0] == outcomes[1]
+        assert lbs[0].serving_machines() == lbs[1].serving_machines()
+        assert lbs[0].spare_machines() == lbs[1].spare_machines()

@@ -10,6 +10,8 @@ other local effect, so a later window can never resurrect the handle.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.hw.machine import Machine
@@ -224,3 +226,55 @@ def test_process_worker_failure_names_the_raising_function():
     assert text.startswith("shard 0 (building) failed")
     assert "in alloc_many" in text
     assert "OutOfMemory" in text
+
+
+def _build_unpoked_waiters(index, seed, **kwargs):
+    """Module level, so spawned shard workers can import it."""
+    if index == 0:
+        return WaiterNode(index, seed)
+    return PokeNode(index, seed, poke=False)
+
+
+def test_process_transport_deadlock_names_blocked_tasks():
+    """The deadlock report asks every worker for its blocked tasks; only
+    then do they cross the pipe."""
+    sim = ShardedSim(_build_unpoked_waiters, 2, workers=2,
+                     transport="process", window_cycles=WINDOW)
+    with pytest.raises(SimDeadlock, match="blocked: m0:waiter$"):
+        sim.run()
+
+
+class SleepyNode(FleetNode):
+    """Advances by sleeping in host time: a hung worker."""
+
+    def __init__(self, index, seed, **kwargs):
+        super().__init__(index, _machine())
+
+    def advance(self, horizon):
+        time.sleep(60)
+        return super().advance(horizon)
+
+
+def _build_sleepy(index, seed, **kwargs):
+    return SleepyNode(index, seed)
+
+
+def test_hung_process_worker_is_reported(monkeypatch):
+    """A worker that stops answering surfaces as a ShardError naming the
+    shard and the horizon it was stepping to, after the reply timeout."""
+    import multiprocessing
+
+    from repro.sim import pool
+
+    handle = pool._ProcessShard(multiprocessing.get_context("spawn"), 3,
+                                [0], _build_sleepy, 0, {}, WINDOW)
+    monkeypatch.setattr(pool, "WORKER_REPLY_TIMEOUT_S", 0.2)
+    try:
+        handle.step_begin(WINDOW, [])
+        start = time.monotonic()
+        with pytest.raises(ShardError, match=r"^shard 3 \(stepping to "
+                                             r"horizon 200000\) worker hung"):
+            handle.step_end()
+        assert time.monotonic() - start < 30
+    finally:
+        handle.close()
