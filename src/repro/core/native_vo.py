@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.vobject import VirtualizationObject, sensitive
+from repro.errors import OutOfMemory
 from repro.hw.cpu import PrivilegeLevel
 from repro.params import PAGE_SIZE
 
@@ -22,6 +23,14 @@ if TYPE_CHECKING:
     from repro.hw.interrupts import Idt
     from repro.hw.machine import Machine
     from repro.hw.paging import AddressSpace, Pte
+
+
+def _drop_cleared(tlb, updates: list) -> None:
+    """invlpg every vaddr a ``(vaddr, None)`` entry of ``updates`` cleared."""
+    drop = tlb.drop
+    for vaddr, pte in updates:
+        if pte is None:
+            drop(vaddr // PAGE_SIZE, None)
 
 
 class NativeVO(VirtualizationObject):
@@ -143,16 +152,23 @@ class NativeVO(VirtualizationObject):
         accountant = self.accountant
         if accountant is None:
             # hot path (fork child install, exec teardown, mmap populate):
-            # plain stores, one lump charge for the whole region
-            set_pte = aspace.set_pte
-            clear_pte = aspace.clear_pte
-            drop = cpu.tlb.drop
-            for vaddr, pte in updates:
-                if pte is None:
-                    clear_pte(vaddr)
-                    drop(vaddr // PAGE_SIZE, None)
-                else:
-                    set_pte(vaddr, pte)
+            # plain stores, one lump charge for the whole region, then the
+            # cleared translations dropped — nothing in the stores touches
+            # the TLB, and an empty TLB has nothing to drop
+            tlb = cpu.tlb
+            try:
+                aspace.store_region(updates)
+            except OutOfMemory:
+                # a new leaf could not be allocated: the stores stopped at
+                # the first set whose leaf is still missing
+                if len(tlb):
+                    stop = next(i for i, (vaddr, pte) in enumerate(updates)
+                                if pte is not None
+                                and aspace.leaf_for(vaddr) is None)
+                    _drop_cleared(tlb, updates[:stop])
+                raise
+            if len(tlb):
+                _drop_cleared(tlb, updates)
             return
         for vaddr, pte in updates:
             old = aspace.get_pte(vaddr)

@@ -284,13 +284,7 @@ class VirtualVO(VirtualizationObject):
         if not self._pinned(aspace):
             self._dirty_roots.add(aspace.pgd.frame)
             cpu.charge(cpu.cost.cyc_pte_write * len(updates))
-            set_pte = aspace.set_pte
-            clear_pte = aspace.clear_pte
-            for vaddr, pte in updates:
-                if pte is None:
-                    clear_pte(vaddr)
-                else:
-                    set_pte(vaddr, pte)
+            aspace.store_region(updates)
             return
         st = self._lazy_state(cpu)
         if st.depth > 0:

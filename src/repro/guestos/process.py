@@ -116,31 +116,46 @@ class ProcessTable:
         # the child's entries are collected and installed as one region
         # write (the child is unpinned, so these are plain stores).
         child_updates = []
-        add_update = child_updates.append
         frame_refs = kernel.vmem._frame_refs
         refs_get = frame_refs.get
-        smp = kernel.machine.config.num_cpus > 1
-        cyc_lock = cost.cyc_lock
+        lock = cost.cyc_lock if kernel.machine.config.num_cpus > 1 else 0
+
+        def share(entries: list) -> None:
+            """Copy ``(vaddr, pte)`` entries into the child as read-only
+            COW mappings: one more reference per frame, and on SMP one
+            page_table_lock bounce per entry."""
+            # positional Pte(frame, present, writable, user, accessed,
+            # dirty, cow): a keyword call costs ~3x on this path
+            child_updates.extend([(vaddr, Pte(pte.frame, True, False,
+                                               pte.user, False, False, True))
+                                  for vaddr, pte in entries])
+            for _, pte in entries:
+                frame = pte.frame
+                frame_refs[frame] = refs_get(frame, 1) + 1
+            if lock and entries:
+                cpu.charge(lock * len(entries))
+
         parent_as = parent.aspace
         with kernel.lazy_mmu(cpu):
-            # kernel.vo is re-read per entry: update_pte_flags pumps the
-            # sim scheduler, so the installed VO is not loop-invariant
             for pgd_idx, leaf in list(parent_as.pgd.entries.items()):
-                vaddr_base = pgd_idx * PT_SPAN
-                for idx, pte in list(leaf.entries.items()):
-                    if not pte.present:
-                        continue
-                    vaddr = vaddr_base + idx * PAGE_SIZE
-                    if pte.writable:
-                        kernel.vo.update_pte_flags(cpu, parent_as, vaddr,
-                                                   writable=False, cow=True)
-                    add_update((vaddr, Pte(
-                        frame=pte.frame, present=True, writable=False,
-                        user=pte.user, cow=True)))
-                    frame = pte.frame
-                    frame_refs[frame] = refs_get(frame, 1) + 1
-                    if smp:  # page_table_lock bounces per entry on SMP
-                        cpu.charge(cyc_lock)
+                base = pgd_idx * PT_SPAN
+                present = [(base + idx * PAGE_SIZE, pte)
+                           for idx, pte in leaf.entries.items() if pte.present]
+                # a writable entry is re-protected through the VO, which
+                # pumps the sim scheduler (so kernel.vo is re-read, and the
+                # entries before it are shared first: the pump sees their
+                # references and lock cycles exactly as an entry-by-entry
+                # walk leaves them).  The leaf's flags are read up front:
+                # only this task's own syscalls and faults change them,
+                # never an interrupt serviced in a pump.
+                done = 0
+                for i in [i for i, (_, pte) in enumerate(present)
+                          if pte.writable]:
+                    share(present[done:i])
+                    done = i
+                    kernel.vo.update_pte_flags(cpu, parent_as, present[i][0],
+                                               writable=False, cow=True)
+                share(present[done:])
             kernel.vo.apply_pte_region(cpu, child_as, child_updates)
 
         kernel.vo.new_address_space(cpu, child_as)
@@ -204,14 +219,11 @@ class ProcessTable:
         kernel = self.kernel
         updates = []
         frames = []
-        add_update = updates.append
-        add_frame = frames.append
         for pgd_idx, leaf in aspace.pgd.entries.items():
             vaddr = pgd_idx * PT_SPAN
-            for idx, pte in leaf.entries.items():
-                add_update((vaddr + idx * PAGE_SIZE, None))
-                if pte.present:
-                    add_frame(pte.frame)
+            entries = leaf.entries
+            updates += [(vaddr + idx * PAGE_SIZE, None) for idx in entries]
+            frames += [pte.frame for pte in entries.values() if pte.present]
         kernel.vo.apply_pte_region(cpu, aspace, updates)
         kernel.vmem.release_frames(cpu, frames)
         kernel.unregister_aspace(aspace)

@@ -16,7 +16,7 @@ round-trip them through checkpoints and migrations.
 from __future__ import annotations
 
 from array import array
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -79,9 +79,43 @@ class PhysicalMemory:
         return frame
 
     def alloc_many(self, owner: int, n: int) -> list[int]:
+        """Allocate ``n`` frames to ``owner`` — all or nothing.
+
+        The same frames, in the same order, as ``n`` calls to
+        :meth:`alloc`: the top ``n`` of the recycled stack (LIFO, so the
+        most recently freed first), then the lowest fresh frames, stepping
+        over the ones ``alloc_specific`` claimed out of order."""
         if n > self.free_frames:
             raise OutOfMemory(f"requested {n} frames, {self.free_frames} free")
-        return [self.alloc(owner) for _ in range(n)]
+        recycled = self._recycled
+        cut = max(len(recycled) - n, 0)
+        frames = recycled[cut:]
+        del recycled[cut:]
+        frames.reverse()
+        rest = n - len(frames)
+        owner_col = self.owner
+        for frame in frames:
+            owner_col[frame] = owner
+        if rest:
+            # the free-frame count above guarantees ``rest`` fresh frames
+            # below ``num_frames`` (skipped frames all sit at/above the
+            # watermark and are counted as allocated)
+            frame = self._next_fresh
+            skipped = self._fresh_skipped
+            if skipped:
+                for _ in range(rest):
+                    while frame in skipped:
+                        skipped.discard(frame)
+                        frame += 1
+                    owner_col[frame] = owner
+                    frames.append(frame)
+                    frame += 1
+            else:
+                owner_col[frame:frame + rest] = array("i", [owner]) * rest
+                frames.extend(range(frame, frame + rest))
+                frame += rest
+            self._next_fresh = frame
+        return frames
 
     def alloc_specific(self, frame: int, owner: int) -> int:
         """Allocate a *specific* frame (checkpoint-restore and migration
@@ -90,23 +124,48 @@ class PhysicalMemory:
         self._check(frame)
         if self.owner[frame] != OWNER_FREE:
             raise InvalidPhysicalAddress(f"frame {frame} is already allocated")
-        if frame >= self._next_fresh:
+        if frame >= self._next_fresh and frame not in self._fresh_skipped:
             self._fresh_skipped.add(frame)
         else:
+            # below the watermark, or a skipped frame freed since: either
+            # way it is free only by sitting on the recycled stack
             self._recycled.remove(frame)
         self.owner[frame] = owner
         return frame
 
     def free(self, frame: int) -> None:
-        # _check inlined: free runs per frame on every teardown path
-        if not 0 <= frame < self.num_frames:
-            raise InvalidPhysicalAddress(f"frame {frame} out of range")
-        if self.owner[frame] == OWNER_FREE:
-            raise InvalidPhysicalAddress(f"double free of frame {frame}")
-        self.owner[frame] = OWNER_FREE
-        self._contents.pop(frame, None)
-        self.frame_objects.pop(frame, None)
-        self._recycled.append(frame)
+        self.free_many((frame,))
+
+    def free_many(self, frames: Iterable[int]) -> None:
+        """Free each of ``frames`` in order, pushing each on the recycled
+        stack — the same result as one :meth:`free` per frame, in one pass.
+
+        Each frame is validated before it is freed, so a frame out of
+        range, already free, or repeated in the batch raises the error a
+        per-frame loop would, with exactly the frames before it freed and
+        the rest untouched.  ``frames`` may be a generator: it is consumed
+        only as far as the first bad frame."""
+        owner = self.owner
+        num_frames = self.num_frames
+        freed: list[int] = []
+        add = freed.append
+        error = None
+        for frame in frames:
+            if not 0 <= frame < num_frames:
+                error = f"frame {frame} out of range"
+                break
+            if owner[frame] == OWNER_FREE:
+                error = f"double free of frame {frame}"
+                break
+            owner[frame] = OWNER_FREE
+            add(frame)
+        self._recycled.extend(freed)
+        for side in (self._contents, self.frame_objects):
+            if not side.keys().isdisjoint(freed):
+                for frame in freed:
+                    side.pop(frame, None)
+        if error is not None:
+            raise InvalidPhysicalAddress(error)
 
     def reassign(self, frame: int, new_owner: int) -> None:
         """Transfer ownership of a frame (used when a VMM claims frames of a

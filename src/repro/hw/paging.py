@@ -124,6 +124,29 @@ class AddressSpace:
             return None
         return leaf.entries.pop(vpn % PT_ENTRIES, None)
 
+    def store_region(self, updates) -> None:
+        """Apply ``(vaddr, Pte-or-None)`` updates in order: the result of
+        :meth:`set_pte` / :meth:`clear_pte` per entry, including the order
+        in which missing leaves are created (and so their frames), but
+        with each leaf resolved once per run of entries that share it."""
+        pgd_entries = self.pgd.entries
+        run = None
+        entries = None
+        for vaddr, pte in updates:
+            vpn = vaddr // PAGE_SIZE
+            pgd_idx = vpn // PT_ENTRIES
+            if pgd_idx != run:
+                run = pgd_idx
+                leaf = pgd_entries.get(pgd_idx)
+                entries = leaf.entries if leaf is not None else None
+            if pte is None:
+                if entries is not None:
+                    entries.pop(vpn % PT_ENTRIES, None)
+            else:
+                if entries is None:
+                    entries = self.leaf_for(vaddr, create=True).entries
+                entries[vpn % PT_ENTRIES] = pte
+
     def get_pte(self, vaddr: int) -> Optional[Pte]:
         vpn = vaddr // PAGE_SIZE
         leaf = self.pgd.entries.get(vpn // PT_ENTRIES)
@@ -182,7 +205,6 @@ class AddressSpace:
     def destroy(self) -> None:
         """Free the page-table pages themselves (NOT the mapped frames —
         those belong to whoever mapped them and may be shared)."""
-        for leaf in list(self.pgd.entries.values()):
-            self.mem.free(leaf.frame)
+        self.mem.free_many([leaf.frame for leaf in self.pgd.entries.values()])
         self.pgd.entries.clear()
         self.mem.free(self.pgd.frame)

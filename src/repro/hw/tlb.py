@@ -22,10 +22,12 @@ class Tlb:
         self.capacity = capacity
         self._entries: OrderedDict[int, tuple[int, bool]] = OrderedDict()
         #: bound ``pop`` of the entry dict — bulk paths (``mmu_update``'s
-        #: per-entry invlpg) call ``drop(vpn, None)`` to skip a method
-        #: dispatch per PTE; the dict object is never rebound (``flush``
-        #: clears it in place), so the binding stays valid for the CPU's
-        #: lifetime
+        #: per-entry invlpg, the native VO's region clears) call
+        #: ``drop(vpn, None)`` to skip a method dispatch per PTE, and skip
+        #: the calls altogether when ``len(tlb)`` is 0 at batch start (a
+        #: page-table write never fills the TLB; only a walk does).  The
+        #: dict object is never rebound (``flush`` clears it in place), so
+        #: the binding stays valid for the CPU's lifetime
         self.drop = self._entries.pop
         self.hits = 0
         self.misses = 0

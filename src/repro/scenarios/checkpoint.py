@@ -277,8 +277,7 @@ def _wipe(kernel: "Kernel", cpu: "Cpu") -> None:
     for aspace in list(kernel.aspaces):
         kernel.unregister_aspace(aspace)
         kernel.vo.destroy_address_space(cpu, aspace)
-    for frame in list(mem.frames_owned_by(kernel.owner_id)):
-        mem.free(int(frame))
+    mem.free_many(mem.frames_owned_by(kernel.owner_id).tolist())
     kernel.vmem._frame_refs.clear()
     kernel.fs.inodes.clear()
     kernel.fs.cache.invalidate()

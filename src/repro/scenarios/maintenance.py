@@ -133,8 +133,7 @@ class MaintenanceWindow:
 
         # tear the hosted guest out of the standby
         self.standby.shutdown_guest(hosted)
-        for frame in list(mem.frames_owned_by(hosted.owner_id)):
-            mem.free(int(frame))
+        mem.free_many(mem.frames_owned_by(hosted.owner_id).tolist())
 
         # the primary's Mercury still exists; restore into it.  It is in
         # full-virtual mode with an empty kernel shell (its state left in

@@ -185,7 +185,6 @@ class LiveMigration:
                 source.domain.unregister_aspace(aspace)
         # the evacuated OS's page validations are void
         source.vmm.page_info.reset()
-        for frame in list(mem.frames_owned_by(kernel.owner_id)):
-            mem.free(int(frame))
+        mem.free_many(mem.frames_owned_by(kernel.owner_id).tolist())
         kernel.vmem._frame_refs.clear()
         kernel.booted = False

@@ -50,11 +50,14 @@ def mmu_update(vmm: "Hypervisor", cpu: "Cpu", domain: "Domain",
     ``update_va_mapping`` path costs more per entry).
 
     This is the hottest VMM path (fork/exit/mmap all funnel through it), so
-    the loop resolves each entry's leaf once, inlines the page-info column
-    bookkeeping (:meth:`validate_pte_write`/:meth:`account_pte_clear`
-    semantics, verbatim), and caches per-address-space state across runs of
-    consecutive entries — registration and PGD pinned-ness cannot change
-    mid-batch, nothing here reenters the hypercall layer."""
+    the loop inlines the page-info column bookkeeping
+    (:meth:`validate_pte_write`/:meth:`account_pte_clear` semantics,
+    verbatim) and caches state across runs of consecutive entries:
+    registration and PGD pinned-ness per address space, and the leaf per
+    run of entries that share one — nothing here reenters the hypercall
+    layer, and nothing but this loop adds leaves.  Each entry invalidates
+    its TLB translation (invlpg), skipped when the calling CPU's TLB is
+    empty at batch start: nothing in the loop fills it."""
     if faults.fire(faults.MMU_UPDATE_TRANSIENT, cpu.clock,
                    cpu.cpu_id):
         # rejected before any entry is applied: the batch is all-or-nothing
@@ -70,23 +73,29 @@ def mmu_update(vmm: "Hypervisor", cpu: "Cpu", domain: "Domain",
     owner = page_info.mem.owner
     domain_id = domain.domain_id
     clk = cpu.clock
-    drop = cpu.tlb.drop
+    drop = cpu.tlb.drop if len(cpu.tlb) else None
     cur_aspace = None
     pgd_entries = None
     pgd_pinned = False
-    applied = 0
+    run = None
+    leaf = entries = None
     for aspace, vaddr, pte in updates:
         if aspace is not cur_aspace:
             _require_registered(domain, aspace)
             cur_aspace = aspace
             pgd_entries = aspace.pgd.entries
             pgd_pinned = pinned_map[aspace.pgd.frame] != 0
+            run = None
         clk.cycles += rate
         vpn = vaddr // PAGE_SIZE
-        leaf = pgd_entries.get(vpn // PT_ENTRIES)
+        pgd_idx = vpn // PT_ENTRIES
+        if pgd_idx != run:
+            run = pgd_idx
+            leaf = pgd_entries.get(pgd_idx)
+            entries = leaf.entries if leaf is not None else None
         idx = vpn % PT_ENTRIES
         if pte is None:
-            removed = leaf.entries.pop(idx, None) if leaf is not None else None
+            removed = entries.pop(idx, None) if entries is not None else None
             if removed is not None and removed.present:
                 frame = removed.frame
                 n = pcount[frame]
@@ -98,9 +107,8 @@ def mmu_update(vmm: "Hypervisor", cpu: "Cpu", domain: "Domain",
                     prefs[frame] -= 1
                     if n == 1 and ptype[frame] == _WRITABLE:
                         ptype[frame] = _NONE
-            drop(vpn, None)
         else:
-            old = leaf.entries.get(idx) if leaf is not None else None
+            old = entries.get(idx) if entries is not None else None
             if pte.present:
                 frame = pte.frame
                 if owner[frame] != domain_id:
@@ -124,15 +132,18 @@ def mmu_update(vmm: "Hypervisor", cpu: "Cpu", domain: "Domain",
                         ptype[frame] = _NONE
             if leaf is None:
                 leaf = aspace.leaf_for(vaddr, create=True)
-            leaf.entries[idx] = pte
+                entries = leaf.entries
+            entries[idx] = pte
             # the write may have instantiated a new leaf PT page under a
             # pinned PGD (an L2-entry install): validate-and-adopt it
             if pgd_pinned:
                 t = ptype[leaf.frame]
                 if t != _L1 and t != _L2:
                     page_info.adopt_new_leaf(cpu, leaf)
+        if drop is not None:
             drop(vpn, None)
-        applied += 1
+    # every entry applied (a bad one raises out of the loop)
+    applied = len(updates)
     if batched:
         vmm.mmu_batches += 1
         vmm.mmu_batched_updates += applied

@@ -2,12 +2,15 @@
 implementations' hardware effects."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro import Machine, small_config
 from repro.core.native_vo import NativeVO
 from repro.core.virtual_vo import VirtualVO
-from repro.errors import ConsistencyViolation, HypercallError
+from repro.errors import ConsistencyViolation, HypercallError, OutOfMemory
 from repro.hw.cpu import PrivilegeLevel
 from repro.hw.paging import AddressSpace, Pte
+from repro.params import PAGE_SIZE, PT_SPAN
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +114,52 @@ def test_native_update_pte_flags_invalidates_tlb(machine):
     vo.update_pte_flags(cpu, aspace, 0x3000, writable=False)
     assert 0x3 not in cpu.tlb
     assert not aspace.get_pte(0x3000).writable
+
+
+#: (leaf, slot, map?) over a 3-leaf window
+NATIVE_REGION = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 3),
+                                   st.booleans()), max_size=20)
+
+
+@settings(max_examples=150, deadline=None)
+@given(NATIVE_REGION, NATIVE_REGION, st.integers(0, 3))
+def test_native_region_matches_per_entry_stores(setup, region, spare):
+    """The native region write leaves the tables and the TLB as a store
+    plus, per clear, an invlpg for each entry — also when a leaf
+    allocation runs out of memory partway (only the clears before the
+    failed entry drop their translations)."""
+    outcomes = []
+    for bulk in (True, False):
+        machine = Machine(small_config())
+        vo, cpu, mem = NativeVO(machine), machine.boot_cpu, machine.memory
+        aspace = AddressSpace(mem, owner=0)
+        frames = mem.alloc_many(0, 4)
+        vo.apply_pte_region(cpu, aspace, [(slot * PAGE_SIZE, Pte(frames[0]))
+                                          for slot in range(2)])
+        mem.alloc_many(9, mem.free_frames - spare)
+        for leaf, slot, _ in setup + region:
+            cpu.tlb.fill((leaf * PT_SPAN) // PAGE_SIZE + slot, 0, True)
+        error = None
+        try:
+            for ops in (setup, region):
+                updates = [(leaf * PT_SPAN + slot * PAGE_SIZE,
+                            Pte(frames[slot]) if do_map else None)
+                           for leaf, slot, do_map in ops]
+                if bulk:
+                    vo.apply_pte_region(cpu, aspace, updates)
+                    continue
+                for vaddr, pte in updates:
+                    if pte is None:
+                        aspace.clear_pte(vaddr)
+                        cpu.tlb.invalidate(vaddr // PAGE_SIZE)
+                    else:
+                        aspace.set_pte(vaddr, pte)
+        except OutOfMemory as exc:
+            error = str(exc)
+        outcomes.append(([(i, leaf.frame, dict(leaf.entries))
+                          for i, leaf in aspace.pgd.entries.items()],
+                         list(cpu.tlb._entries.items()), error))
+    assert outcomes[0] == outcomes[1]
 
 
 # ---------------------------------------------------------------------------

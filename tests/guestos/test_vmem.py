@@ -1,9 +1,15 @@
 """Virtual memory: mmap/munmap, demand paging, protection, brk."""
 
-import pytest
+from types import SimpleNamespace
 
-from repro.errors import SyscallError
-from repro.params import PAGE_SIZE
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.errors import InvalidPhysicalAddress, SyscallError
+from repro.guestos.vmem import VirtualMemory
+from repro.hw.memory import OWNER_FREE, PhysicalMemory
+from repro.hw.paging import Pte
+from repro.params import PAGE_SIZE, PT_ENTRIES
 
 
 def test_mmap_demand_pages_on_touch(kernel, cpu):
@@ -124,3 +130,91 @@ def test_demand_zero_cost_roughly_matches_table1(kernel, cpu):
         kernel.vmem.access(cpu, task, base + i * PAGE_SIZE, write=True)
     per_fault_us = cpu.cost.us(cpu.rdtsc() - t0) / 32
     assert 0.5 < per_fault_us < 2.5
+
+
+def test_munmap_walks_partial_and_missing_leaves(kernel, cpu):
+    """A range that starts mid-leaf, spans a leaf that was never touched
+    (so has no table) and ends mid-leaf: every mapped page in it goes,
+    nothing outside it does."""
+    task = kernel.scheduler.current
+    head = kernel.syscall(cpu, "mmap", 5 * PAGE_SIZE)
+    pages = 2 * PT_ENTRIES + 7
+    base = kernel.syscall(cpu, "mmap", pages * PAGE_SIZE)
+    assert (base // PAGE_SIZE) % PT_ENTRIES == 5
+    touched = [0, PT_ENTRIES - 6, 2 * PT_ENTRIES - 5, pages - 1]
+    for page in touched:
+        kernel.vmem.access(cpu, task, base + page * PAGE_SIZE, write=True)
+    kernel.vmem.access(cpu, task, head, write=True)
+    frames = [task.aspace.get_pte(base + p * PAGE_SIZE).frame for p in touched]
+    free0 = kernel.machine.memory.free_frames
+    kernel.syscall(cpu, "munmap", base, pages * PAGE_SIZE)
+    assert kernel.machine.memory.free_frames == free0 + len(touched)
+    assert all(kernel.machine.memory.owner_of(f) == OWNER_FREE for f in frames)
+    assert all(task.aspace.get_pte(base + p * PAGE_SIZE) is None
+               for p in touched)
+    assert task.aspace.get_pte(head).present
+
+
+def _vmem(num_frames):
+    """A VirtualMemory over bare physical memory — release_frames needs
+    nothing else of the kernel."""
+    mem = PhysicalMemory(num_frames)
+    return VirtualMemory(SimpleNamespace(machine=SimpleNamespace(memory=mem))), mem
+
+
+def _release_loop(vmem, frames):
+    # the per-frame path release_frames replaces
+    for frame in frames:
+        vmem.release_frame(None, frame)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 3), min_size=8, max_size=8),
+       st.lists(st.integers(0, 11), max_size=16))
+def test_release_frames_matches_per_frame_loop(refs, batch):
+    """Same ``_frame_refs`` (contents and order), owner column and recycled
+    stack as one ``release_frame`` per frame — and when the batch frees a
+    frame twice, an already-free frame or one out of range, the same error
+    with the frames after it untouched.  Picks 8-9 name a never-allocated
+    and an out-of-range frame; picks 10-11 a frame with no refs entry."""
+    outcomes = []
+    for bulk in (True, False):
+        vmem, mem = _vmem(12)
+        frames = mem.alloc_many(0, 8) + [mem.alloc(0), mem.alloc(0)]
+        for frame, n in zip(frames, refs):
+            if n:
+                vmem._frame_refs[frame] = n
+        named = frames[:8] + [11, 99] + frames[8:]
+        picked = [named[i] for i in batch]
+        try:
+            if bulk:
+                vmem.release_frames(None, picked)
+            else:
+                _release_loop(vmem, picked)
+            error = None
+        except InvalidPhysicalAddress as exc:
+            error = str(exc)
+        outcomes.append((list(vmem._frame_refs.items()), list(mem.owner),
+                         list(mem._recycled), error))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_double_free_inside_one_teardown(kernel, cpu):
+    """A frame mapped twice on one reference is freed twice by exit's
+    teardown: the second free raises, the frames before it are released
+    and the frame mapped after it keeps its reference and owner, as with
+    the per-frame loop."""
+    task = kernel.spawn_process(cpu, "victim")
+    mem = kernel.machine.memory
+    a, b, c = mem.alloc_many(kernel.owner_id, 3)
+    for i, frame in enumerate((a, b, a, c)):
+        kernel.vmem.claim_frame(frame)
+        kernel.vo.set_pte(cpu, task.aspace, 0x6000_0000 + i * PAGE_SIZE,
+                          Pte(frame))
+    with pytest.raises(InvalidPhysicalAddress,
+                       match=f"double free of frame {a}"):
+        kernel.procs.exit(cpu, task, 0)
+    assert mem.owner_of(a) == mem.owner_of(b) == OWNER_FREE
+    assert kernel.vmem.frame_refs(a) == kernel.vmem.frame_refs(b) == 0
+    assert kernel.vmem.frame_refs(c) == 1
+    assert mem.owner_of(c) == kernel.owner_id

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import PageFault
+from repro.errors import OutOfMemory, PageFault
 from repro.hw.memory import PhysicalMemory
 from repro.hw.paging import AddressSpace, Pte, vpn_split
 from repro.params import PAGE_SIZE, PT_ENTRIES, PT_SPAN
@@ -143,3 +143,84 @@ def test_property_map_walk_consistency(ops):
     for va, frame in shadow.items():
         assert aspace.walk(va, write=False, user=True).frame == frame
     assert aspace.mapped_count() == len(shadow)
+
+
+def _tables(aspace):
+    """Every leaf — its pgd slot, frame and entry dict, in table order."""
+    return [(pgd_idx, leaf.frame, dict(leaf.entries))
+            for pgd_idx, leaf in aspace.pgd.entries.items()]
+
+
+#: (leaf, slot, map?) — leaves 0-3 of a 4-leaf window, a few slots each,
+#: so runs of one leaf, leaf switches and clears of missing leaves all occur
+REGION = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(0, 5), st.booleans()),
+    max_size=40)
+
+
+def _store(aspace, updates, bulk):
+    if bulk:
+        aspace.store_region(updates)
+        return
+    for vaddr, pte in updates:
+        if pte is None:
+            aspace.clear_pte(vaddr)
+        else:
+            aspace.set_pte(vaddr, pte)
+
+
+@settings(max_examples=200, deadline=None)
+@given(REGION, REGION, st.integers(0, 8))
+def test_store_region_matches_per_entry_stores(setup, region, spare):
+    """``store_region`` leaves the same leaf dicts as one ``set_pte`` /
+    ``clear_pte`` per entry, creates missing leaves in the same order (so
+    on the same frames), and runs out of memory at the same entry."""
+    results = []
+    for bulk in (True, False):
+        mem = PhysicalMemory(1 + 8 + spare)
+        aspace = AddressSpace(mem, owner=0)
+        pool = [mem.alloc(0) for _ in range(8)]
+        error = None
+        try:
+            for ops in (setup, region):
+                _store(aspace, [(leaf * PT_SPAN + slot * PAGE_SIZE,
+                                 Pte(pool[slot]) if do_map else None)
+                                for leaf, slot, do_map in ops], bulk)
+        except OutOfMemory as exc:
+            error = str(exc)
+        results.append((_tables(aspace), mem.free_frames, error))
+    assert results[0] == results[1]
+
+
+def _destroy_loop(aspace):
+    # the per-frame teardown destroy() replaces
+    for leaf in list(aspace.pgd.entries.values()):
+        aspace.mem.free(leaf.frame)
+    aspace.pgd.entries.clear()
+    aspace.mem.free(aspace.pgd.frame)
+
+
+@pytest.mark.parametrize("bad", [None, 0, 1, 2, "pgd"])
+def test_destroy_with_a_bad_frame_matches_per_frame_loop(bad):
+    """A page-table frame already freed under a live table makes destroy
+    raise the per-frame loop's double free, with the same leaves freed and
+    the same table dicts left behind."""
+    outcomes = []
+    for bulk in (True, False):
+        mem = PhysicalMemory(16)
+        aspace = AddressSpace(mem, owner=0)
+        data = mem.alloc(0)
+        for i in range(3):
+            aspace.set_pte(i * PT_SPAN, Pte(data))
+        if bad is not None:
+            mem.free(aspace.pgd_frame if bad == "pgd"
+                     else aspace.leaf_for(bad * PT_SPAN).frame)
+        try:
+            aspace.destroy() if bulk else _destroy_loop(aspace)
+            error = None
+        except Exception as exc:
+            error = (type(exc), str(exc))
+        outcomes.append((list(mem.owner), list(mem._recycled),
+                         list(mem.frame_objects),
+                         list(aspace.pgd.entries), error))
+    assert outcomes[0] == outcomes[1]
