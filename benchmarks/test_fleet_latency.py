@@ -8,16 +8,22 @@ paper's headline fleet claim: with switch-aware draining in front of a
 degrades p99 tail latency by at most 5x (in practice it barely moves).
 
 Also re-checks the determinism contract at benchmark scale: the 4-worker
-run's canonical output is byte-identical to the serial run.
+run's canonical output is byte-identical to the serial run.  And it
+records what the final gather costs: the serial run's host time in
+``ShardedSim._gather`` (and its share of the run), and the pickled size of
+what the 4 worker shards hand back at collect (each payload re-pickled in
+the parent as it arrived, summed over shards).
 """
 
 from __future__ import annotations
 
 import json
+import pickle
 import time
 from pathlib import Path
 
 from repro.fleet import degradation_ratio, run_fleet
+from repro.sim import pool
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULT_FILE = REPO_ROOT / "BENCH_perf.json"
@@ -29,7 +35,28 @@ SEED = 2007  # ICPP'07
 MAX_P99_DEGRADATION = 5.0
 
 
-def test_rolling_update_tail_latency_and_worker_invariance():
+def test_rolling_update_tail_latency_and_worker_invariance(monkeypatch):
+    gather_s = []
+    gather = pool.ShardedSim._gather
+
+    def timed_gather(sim, *args):
+        t0 = time.perf_counter()
+        try:
+            return gather(sim, *args)
+        finally:
+            gather_s.append(time.perf_counter() - t0)
+
+    payload_bytes = []
+    collect = pool._ProcessShard.collect
+
+    def sized_collect(handle):
+        data = collect(handle)
+        payload_bytes.append(len(pickle.dumps(data)))
+        return data
+
+    monkeypatch.setattr(pool.ShardedSim, "_gather", timed_gather)
+    monkeypatch.setattr(pool._ProcessShard, "collect", sized_collect)
+
     t0 = time.perf_counter()
     serial = run_fleet(machines=MACHINES, workers=1, seed=SEED,
                        scenario="liveupdate")
@@ -58,6 +85,7 @@ def test_rolling_update_tail_latency_and_worker_invariance():
                        scenario="liveupdate")
     fanned_wall = time.perf_counter() - t0
     assert fanned.canonical_output() == serial.canonical_output()
+    assert len(gather_s) == 2 and len(payload_bytes) == 4
 
     try:
         result = json.loads(RESULT_FILE.read_text())
@@ -85,5 +113,8 @@ def test_rolling_update_tail_latency_and_worker_invariance():
         "workers4_byte_identical": True,
         "wall_s": {"workers1": round(serial_wall, 3),
                    "workers4": round(fanned_wall, 3)},
+        "gather_s": round(gather_s[0], 3),
+        "gather_share": round(gather_s[0] / serial_wall, 3),
+        "collect_payload_bytes": sum(payload_bytes),
     }
     RESULT_FILE.write_text(json.dumps(result, indent=2) + "\n")

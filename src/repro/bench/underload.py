@@ -149,7 +149,7 @@ def run_switch_under_load(files: int = 10,
             name="switch-storm", cpu=machine.boot_cpu)
         sched.run()
     events = tracer.events()
-    problems = trace.validate(events, dropped=tracer.dropped)
+    lines, problems = trace.render(events, dropped=tracer.dropped)
     if problems:
         raise AssertionError(f"malformed under-load trace: {problems[:3]}")
 
@@ -161,7 +161,7 @@ def run_switch_under_load(files: int = 10,
     result.kbuild_elapsed_us = kbuild.result.elapsed_us
     result.iperf_mbit_s = iperf.result.mbit_s
     result.final_cycles = machine.clock.cycles
-    result.canonical_trace = trace.canonical_lines(events)
+    result.canonical_trace = lines
     result.trace_events = events
     return result
 

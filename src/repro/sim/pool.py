@@ -352,6 +352,9 @@ class ShardedSim:
 
     def _gather(self, handles: list, windows: int, messages: int
                 ) -> FleetResult:
+        """Collect every shard and merge.  Traces arrive already validated
+        and rendered (:meth:`Shard.collect`); this only raises on a
+        machine's errors and merges the ``m{i}|`` listing."""
         node_results: dict[int, dict] = {}
         snapshots: dict[int, MetricsSnapshot] = {}
         canonical: dict[int, list] = {}
@@ -360,14 +363,12 @@ class ShardedSim:
             data = handle.collect()
             node_results.update(data["results"])
             snapshots.update(data["snapshots"])
-            for index, (rows, dropped) in data["rings"].items():
-                events = trace.import_ring(rows)
-                errors = trace.validate(events, dropped)
+            for index, (lines, errors, dropped) in data["traces"].items():
                 if errors:
                     raise ShardError(
                         f"machine {index} trace ill-formed: "
                         + "; ".join(errors[:3]))
-                canonical[index] = trace.canonical_lines(events)
+                canonical[index] = lines
                 dropped_total += dropped
         merged = MetricsSnapshot.merge(
             snapshots[i] for i in sorted(snapshots))

@@ -157,8 +157,10 @@ class FleetNode:
     def snapshot(self) -> MetricsSnapshot:
         return self.collector().snapshot()
 
-    def canonical_trace(self) -> list[str]:
-        return trace.canonical_lines(self.tracer.events())
+    def canonical_trace(self) -> tuple[list[str], list[str]]:
+        """This node's ring, validated and rendered in one pass:
+        ``(canonical lines, well-formedness errors)``."""
+        return trace.render(self.tracer.events(), self.tracer.dropped)
 
     def result(self) -> dict:
         """Scenario-visible numbers; subclasses extend.  Everything here
@@ -269,15 +271,22 @@ class Shard:
                 for name in self.nodes[index].sched.blocked_names()]
 
     def collect(self) -> dict:
-        """Final per-node data, in picklable primitives + dataclasses."""
+        """Final per-node data, in picklable primitives + dataclasses.
+
+        Each node's trace is rendered here, where it was recorded, so
+        shard workers render in parallel and ship strings, not events:
+        ``traces`` maps machine index to ``(canonical lines, errors,
+        dropped)``.  A stream repeats few distinct lines and the renderer
+        hands back one object per distinct line, which pickle sends
+        once."""
         return {
             "results": {i: self.nodes[i].result()
                         for i in sorted(self.nodes)},
             "snapshots": {i: self.nodes[i].snapshot()
                           for i in sorted(self.nodes)},
-            "rings": {i: (trace.export_ring(self.nodes[i].tracer),
-                          self.nodes[i].tracer.dropped)
-                      for i in sorted(self.nodes)},
+            "traces": {i: (*self.nodes[i].canonical_trace(),
+                           self.nodes[i].tracer.dropped)
+                       for i in sorted(self.nodes)},
         }
 
     def close(self) -> None:

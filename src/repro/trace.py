@@ -26,8 +26,9 @@ Design rules:
   events; overflow drops oldest-first and counts what it dropped
   (surfaced as the ``trace_dropped`` metric).
 - **Well-formed by construction.**  Pipeline spans are emitted through
-  ``try/finally`` (the :func:`span` context manager), so every begin has
-  a matching end even when a fault unwinds the switch mid-transfer.
+  the :class:`span` context manager, whose exit runs however the body
+  leaves, so every begin has a matching end even when a fault unwinds the
+  switch mid-transfer.
 - **Monotonic per CPU.**  The SMP coordinator overlaps secondary work
   against the control processor's timeline by rewinding the shared clock
   (:mod:`repro.core.smp`); the recorder clamps each CPU's timestamps to be
@@ -39,9 +40,16 @@ Three consumers sit on top of the raw ring:
   breakdown (mean/min/max cycles per phase, the §7.4 decomposition);
 - :func:`to_chrome_trace` / :func:`write_chrome_trace` — Chrome
   ``trace_event`` JSON (load in ``chrome://tracing`` / Perfetto);
-- :func:`canonical_lines` — a *structural* rendering (event kinds,
-  nesting, phase ordering, symbolic args with digit runs scrubbed; no raw
-  cycle values) diffed against the committed goldens in ``tests/goldens/``.
+- :func:`render` — one pass that checks well-formedness and produces the
+  *structural* rendering (event kinds, nesting, phase ordering, symbolic
+  args with digit runs scrubbed; no raw cycle values) diffed against the
+  committed goldens in ``tests/goldens/``.  :func:`validate` and
+  :func:`canonical_lines` return its two halves.
+
+A sharded fleet renders each machine's ring where it was recorded: every
+shard calls :func:`render` per node at collect time and ships only lines,
+errors and drop counts; the parent prefixes and concatenates them with
+:func:`merge_canonical`.
 """
 
 from __future__ import annotations
@@ -51,6 +59,7 @@ import re
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import TYPE_CHECKING, Iterator, Optional
 
 if TYPE_CHECKING:
@@ -81,7 +90,7 @@ SWITCH_PHASES = (
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceEvent:
     """One recorded event: a span edge (B/E) or an instant (I)."""
 
@@ -106,11 +115,6 @@ class _CpuRing:
         self.dropped = 0
         self.last_ts = 0
 
-    def append(self, event: TraceEvent) -> None:
-        if len(self.events) == self.capacity:
-            self.dropped += 1  # deque(maxlen) evicts the oldest on append
-        self.events.append(event)
-
 
 class Tracer:
     """Records events against one clock while bound to it."""
@@ -121,47 +125,32 @@ class Tracer:
         self.clock = clock
         self.capacity_per_cpu = capacity_per_cpu
         self._rings: dict[int, _CpuRing] = {}
-        self._seq = 0
-        #: lifetime count of recorded events (monotonic; metrics snapshots
-        #: diff it, so it is not reduced by ring eviction or clear())
+        #: lifetime count of recorded events, and the next event's ``seq``
+        #: (monotonic; metrics snapshots diff it, so it is not reduced by
+        #: ring eviction or clear())
         self.recorded = 0
 
     # -- recording -------------------------------------------------------
 
-    def _ring(self, cpu_id: int) -> _CpuRing:
+    def _emit(self, kind: str, cpu_id: int, name: str,
+              args: Optional[dict]) -> None:
         ring = self._rings.get(cpu_id)
         if ring is None:
             ring = self._rings[cpu_id] = _CpuRing(self.capacity_per_cpu)
-        return ring
-
-    def _emit(self, kind: str, cpu_id: int, name: str,
-              args: Optional[dict]) -> None:
-        ring = self._ring(cpu_id)
         ts = self.clock.cycles
         if ts < ring.last_ts:       # overlapped SMP timeline: clamp
             ts = ring.last_ts
         else:
             ring.last_ts = ts
-        ring.append(TraceEvent(kind, name, cpu_id, ts, self._seq, args))
-        self._seq += 1
-        self.recorded += 1
-
-    def begin(self, cpu_id: int, name: str, **args) -> None:
-        self._emit(BEGIN, cpu_id, name, args or None)
-
-    def end(self, cpu_id: int, name: str, **args) -> None:
-        self._emit(END, cpu_id, name, args or None)
+        events = ring.events
+        if len(events) == ring.capacity:
+            ring.dropped += 1  # deque(maxlen) evicts the oldest on append
+        seq = self.recorded
+        events.append(TraceEvent(kind, name, cpu_id, ts, seq, args))
+        self.recorded = seq + 1
 
     def instant(self, cpu_id: int, name: str, **args) -> None:
         self._emit(INSTANT, cpu_id, name, args or None)
-
-    @contextmanager
-    def span(self, cpu_id: int, name: str, **args) -> Iterator[None]:
-        self.begin(cpu_id, name, **args)
-        try:
-            yield
-        finally:
-            self.end(cpu_id, name)
 
     # -- reading ---------------------------------------------------------
 
@@ -182,7 +171,7 @@ class Tracer:
         merged: list[TraceEvent] = []
         for ring in self._rings.values():
             merged.extend(ring.events)
-        merged.sort(key=lambda e: e.seq)
+        merged.sort(key=attrgetter("seq"))
         return merged
 
     def clear(self) -> None:
@@ -217,31 +206,47 @@ def tracing(target,
 def begin(cpu: "Cpu", name: str, **args) -> None:
     tracer = cpu.clock.tracer
     if tracer is not None:
-        tracer.begin(cpu.cpu_id, name, **args)
+        tracer._emit(BEGIN, cpu.cpu_id, name, args or None)
 
 
 def end(cpu: "Cpu", name: str, **args) -> None:
     tracer = cpu.clock.tracer
     if tracer is not None:
-        tracer.end(cpu.cpu_id, name, **args)
+        tracer._emit(END, cpu.cpu_id, name, args or None)
 
 
 def instant(cpu: "Cpu", name: str, **args) -> None:
     tracer = cpu.clock.tracer
     if tracer is not None:
-        tracer.instant(cpu.cpu_id, name, **args)
+        tracer._emit(INSTANT, cpu.cpu_id, name, args or None)
 
 
-@contextmanager
-def span(cpu: "Cpu", name: str, **args) -> Iterator[None]:
+class span:
     """Begin/end pair guaranteed to match across exceptions.  The bound
     check happens at both edges so the pair stays balanced even if a tracer
-    is (un)bound mid-span."""
-    begin(cpu, name, **args)
-    try:
-        yield
-    finally:
-        end(cpu, name)
+    is (un)bound mid-span.
+
+    A plain class rather than a ``@contextmanager`` generator: the hooks
+    run once per scheduler slice, and a slotted object is the cheapest
+    context manager Python has."""
+
+    __slots__ = ("cpu", "name", "args")
+
+    def __init__(self, cpu: "Cpu", name: str, **args):
+        self.cpu = cpu
+        self.name = name
+        self.args = args or None
+
+    def __enter__(self) -> None:
+        tracer = self.cpu.clock.tracer
+        if tracer is not None:
+            tracer._emit(BEGIN, self.cpu.cpu_id, self.name, self.args)
+
+    def __exit__(self, *exc) -> bool:
+        tracer = self.cpu.clock.tracer
+        if tracer is not None:
+            tracer._emit(END, self.cpu.cpu_id, self.name, None)
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -302,46 +307,6 @@ def build_span_trees(events: list[TraceEvent]) -> dict[int, list[Span]]:
             dest.append(Span(ev.name, ev.cpu_id, ev.ts, end=ev.ts,
                              args=ev.args, kind="instant"))
     return roots
-
-
-def validate(events: list[TraceEvent], dropped: int = 0) -> list[str]:
-    """Well-formedness check; returns human-readable violations.
-
-    Rules: per-CPU timestamps never decrease; END events match the
-    innermost open BEGIN of the same CPU (strict nesting); every BEGIN is
-    closed by the end of the stream.  When ``dropped > 0`` the buffer head
-    was evicted oldest-first, so an END arriving with an *empty* stack is
-    the expected truncation artifact and is tolerated; a mismatched END on
-    a non-empty stack never is."""
-    errors: list[str] = []
-    stacks: dict[int, list[str]] = {}
-    last_ts: dict[int, int] = {}
-    for ev in events:
-        prev = last_ts.get(ev.cpu_id)
-        if prev is not None and ev.ts < prev:
-            errors.append(f"cpu{ev.cpu_id}: timestamp went backwards at "
-                          f"{ev.kind} {ev.name} ({ev.ts} < {prev})")
-        last_ts[ev.cpu_id] = ev.ts
-        stack = stacks.setdefault(ev.cpu_id, [])
-        if ev.kind == BEGIN:
-            stack.append(ev.name)
-        elif ev.kind == END:
-            if stack:
-                if stack[-1] != ev.name:
-                    errors.append(
-                        f"cpu{ev.cpu_id}: end {ev.name!r} does not match "
-                        f"open span {stack[-1]!r} (spans must nest)")
-                else:
-                    stack.pop()
-            elif dropped == 0:
-                errors.append(f"cpu{ev.cpu_id}: end {ev.name!r} with no "
-                              f"open span and nothing dropped")
-        elif ev.kind != INSTANT:
-            errors.append(f"cpu{ev.cpu_id}: unknown event kind {ev.kind!r}")
-    for cpu_id, stack in stacks.items():
-        for name in stack:
-            errors.append(f"cpu{cpu_id}: span {name!r} never ended")
-    return errors
 
 
 # ---------------------------------------------------------------------------
@@ -499,55 +464,129 @@ _DIGITS = re.compile(r"\d+")
 _KIND_MARK = {BEGIN: ">", END: "<", INSTANT: "*"}
 
 
-def canonical_lines(events: list[TraceEvent]) -> list[str]:
-    """Structural canonical form, stable under cost-model recalibration.
+def _args_key(args: dict) -> Optional[tuple]:
+    """Memo key for the rendered part of ``args``, or None when the event
+    must be rendered afresh.
 
-    Keeps: event kinds, names, per-CPU nesting depth, event ordering, and
-    *symbolic* args (strings/bools, with digit runs scrubbed to ``N`` so
-    frame numbers and cycle-derived values cannot leak in).  Drops: raw
-    timestamps and every numeric arg.  Two traces with the same structure
-    canonicalize identically even if every cycle count differs."""
-    depths: dict[int, int] = {}
+    Numeric values are dropped from the rendering, so they are dropped
+    from the key too (events differing only in a frame number share a
+    line).  ``str``, ``bool`` and ``None`` values enter it: no two of them
+    are equal unless they render alike (``True`` equals ``1`` and ``1.0``,
+    but those never enter).  Any other value may render differently from
+    an equal one (``(1,)`` vs ``(1.0,)``), or not hash at all."""
+    key = []
+    for name, value in args.items():
+        kind = type(value)
+        if kind is str or kind is bool or value is None:
+            key.append((name, value))
+        elif kind is not int and kind is not float:
+            return None
+    return tuple(key)
+
+
+def _render_line(cpu_id: int, depth: int, kind: str, name: str,
+                 args: Optional[dict]) -> str:
+    parts = [f"cpu{cpu_id}", ". " * depth + _KIND_MARK[kind], name]
+    if args:
+        for key in sorted(args):
+            value = args[key]
+            if isinstance(value, bool) or not isinstance(
+                    value, (int, float)):
+                parts.append(f"{key}={_DIGITS.sub('N', str(value))}")
+    return " ".join(parts)
+
+
+def render(events: list[TraceEvent], dropped: int = 0
+           ) -> tuple[list[str], list[str]]:
+    """Validate a stream and render its canonical lines in one pass.
+
+    Returns ``(lines, errors)``.  *Lines* are the structural canonical
+    form, stable under cost-model recalibration.  It keeps event kinds,
+    names, per-CPU nesting depth, event ordering, and *symbolic* args
+    (strings/bools, with digit runs scrubbed to ``N`` so frame numbers and
+    cycle-derived values cannot leak in).  It drops raw timestamps and
+    every numeric arg, so two traces with the same structure render
+    identically even if every cycle count differs.  An event of unknown
+    kind renders no line.
+
+    *Errors* are the well-formedness violations.  Per-CPU timestamps never
+    decrease; an END matches the innermost open BEGIN of its CPU (strict
+    nesting); every BEGIN is closed by the end of the stream.  When
+    ``dropped > 0`` the buffer head was evicted oldest-first, so an END
+    arriving with an *empty* stack is the expected truncation artifact and
+    is tolerated; a mismatched END on a non-empty stack never is.
+
+    Each CPU keeps two counters.  The validation stack pops only on a
+    matching END; the rendered depth drops on every END (floored at 0).
+    They diverge only on a mismatched END, which is an error anyway.
+    A stream holds few distinct lines, so each is rendered once and
+    looked up by ``(cpu, depth, kind, name, args)`` after that."""
     lines: list[str] = []
+    errors: list[str] = []
+    #: cpu -> [last timestamp, rendered depth, open BEGIN names]
+    cpus: dict[int, list] = {}
+    memo: dict[tuple, str] = {}
     for ev in events:
-        depth = depths.get(ev.cpu_id, 0)
-        if ev.kind == END:
-            depth = max(0, depth - 1)
-            depths[ev.cpu_id] = depth
-        parts = [f"cpu{ev.cpu_id}", ". " * depth + _KIND_MARK[ev.kind],
-                 ev.name]
-        if ev.args:
-            for key in sorted(ev.args):
-                value = ev.args[key]
-                if isinstance(value, bool) or not isinstance(
-                        value, (int, float)):
-                    parts.append(f"{key}={_DIGITS.sub('N', str(value))}")
-        lines.append(" ".join(parts))
-        if ev.kind == BEGIN:
-            depths[ev.cpu_id] = depth + 1
-    return lines
+        cpu_id = ev.cpu_id
+        kind = ev.kind
+        name = ev.name
+        state = cpus.get(cpu_id)
+        if state is None:
+            state = cpus[cpu_id] = [ev.ts, 0, []]
+        elif ev.ts < state[0]:
+            errors.append(f"cpu{cpu_id}: timestamp went backwards at "
+                          f"{kind} {name} ({ev.ts} < {state[0]})")
+        state[0] = ev.ts
+        depth = state[1]
+        if kind == BEGIN:
+            state[2].append(name)
+            state[1] = depth + 1
+        elif kind == END:
+            stack = state[2]
+            if stack:
+                if stack[-1] != name:
+                    errors.append(
+                        f"cpu{cpu_id}: end {name!r} does not match "
+                        f"open span {stack[-1]!r} (spans must nest)")
+                else:
+                    stack.pop()
+            elif dropped == 0:
+                errors.append(f"cpu{cpu_id}: end {name!r} with no "
+                              f"open span and nothing dropped")
+            if depth:
+                depth = state[1] = depth - 1
+        elif kind != INSTANT:
+            errors.append(f"cpu{cpu_id}: unknown event kind {kind!r}")
+            continue
+        args = ev.args
+        akey = _args_key(args) if args else ()
+        if akey is None:
+            lines.append(_render_line(cpu_id, depth, kind, name, args))
+            continue
+        key = (cpu_id, depth, kind, name, akey)
+        line = memo.get(key)
+        if line is None:
+            line = memo[key] = _render_line(cpu_id, depth, kind, name, args)
+        lines.append(line)
+    for cpu_id, state in cpus.items():
+        for name in state[2]:
+            errors.append(f"cpu{cpu_id}: span {name!r} never ended")
+    return lines, errors
+
+
+def validate(events: list[TraceEvent], dropped: int = 0) -> list[str]:
+    """Well-formedness violations of a stream (see :func:`render`)."""
+    return render(events, dropped)[1]
+
+
+def canonical_lines(events: list[TraceEvent]) -> list[str]:
+    """Structural canonical form of a stream (see :func:`render`)."""
+    return render(events)[0]
 
 
 # ---------------------------------------------------------------------------
-# ring transport (sharded simulation)
+# fleet merge (sharded simulation)
 # ---------------------------------------------------------------------------
-
-def export_ring(tracer: Tracer) -> list[tuple]:
-    """Flatten a tracer's buffered events to plain tuples.
-
-    Shard worker processes ship their rings back to the parent over a
-    pipe; tuples of primitives keep the payload small and decouple the
-    wire format from the :class:`TraceEvent` class."""
-    return [(ev.kind, ev.name, ev.cpu_id, ev.ts, ev.seq,
-             dict(ev.args) if ev.args else None)
-            for ev in tracer.events()]
-
-
-def import_ring(rows: list[tuple]) -> list[TraceEvent]:
-    """Rebuild :class:`TraceEvent` objects from :func:`export_ring` rows."""
-    return [TraceEvent(kind, name, cpu_id, ts, seq, args)
-            for kind, name, cpu_id, ts, seq, args in rows]
-
 
 def merge_canonical(per_machine: dict[int, list[str]]) -> list[str]:
     """Merge per-machine canonical lines into one fleet-wide listing.
@@ -560,5 +599,5 @@ def merge_canonical(per_machine: dict[int, list[str]]) -> list[str]:
     sharded."""
     merged: list[str] = []
     for index in sorted(per_machine):
-        merged.extend(f"m{index}|{line}" for line in per_machine[index])
+        merged.extend(map(f"m{index}|".__add__, per_machine[index]))
     return merged
