@@ -145,6 +145,9 @@ class NativeVO(VirtualizationObject):
         if self.accountant is not None:
             self.accountant.on_update_pte(cpu, aspace, vaddr, pte)
 
+    #: a flag write is a plain store: one pass, pumping only where due
+    update_pte_flags_region = VirtualizationObject._reflag_pass
+
     @sensitive
     def apply_pte_region(self, cpu, aspace: "AddressSpace", updates: list) -> None:
         self._dirty_roots.add(aspace.pgd.frame)

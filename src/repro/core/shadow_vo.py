@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.core.virtual_vo import VirtualVO
-from repro.core.vobject import sensitive
+from repro.core.vobject import VirtualizationObject, sensitive
 from repro.errors import HypercallError
 from repro.hw.cpu import PrivilegeLevel
 
@@ -105,6 +105,10 @@ class ShadowVirtualVO(VirtualVO):
             pte.cow = cow
         if id(aspace) in self.pager.shadows:
             self.pager.sync_pte(cpu, aspace, vaddr)
+
+    #: the per-entry loop: every write traps and syncs its shadow, and the
+    #: region markers are no-ops, so there is no queue to batch into
+    update_pte_flags_region = VirtualizationObject.update_pte_flags_region
 
     @sensitive
     def apply_pte_region(self, cpu, aspace: "AddressSpace",

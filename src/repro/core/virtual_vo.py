@@ -279,6 +279,16 @@ class VirtualVO(VirtualizationObject):
             self._dirty_roots.add(aspace.pgd.frame)
         cpu.tlb.invalidate(vaddr // PAGE_SIZE)
 
+    def update_pte_flags_region(self, cpu, aspace: "AddressSpace",
+                                vaddrs: list, **kwargs) -> None:
+        st = self._lazy_state(cpu)
+        if st.depth > 0 and self._pinned(aspace):
+            # queued in a region: one pass, pumping only where due
+            self._reflag_pass(cpu, aspace, vaddrs, **kwargs)
+        else:
+            # each entry is its own hypercall or store
+            super().update_pte_flags_region(cpu, aspace, vaddrs, **kwargs)
+
     @sensitive
     def apply_pte_region(self, cpu, aspace: "AddressSpace", updates: list) -> None:
         if not self._pinned(aspace):

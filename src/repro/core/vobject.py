@@ -89,6 +89,14 @@ def sensitive(fn):
     return wrapper
 
 
+def _window_bar(cpu: "Cpu") -> float:
+    """The clock value from which a pump on ``cpu`` could fire something
+    (``inf`` when none can until a handler runs)."""
+    sched = cpu.clock.sched
+    due = None if sched is None else sched.pump_due(cpu)
+    return float("inf") if due is None else due
+
+
 class VirtualizationObject:
     """Abstract VO: the unified interface of §4.2.
 
@@ -183,6 +191,74 @@ class VirtualizationObject:
                          present: Optional[bool] = None,
                          cow: Optional[bool] = None) -> None:
         raise NotImplementedError
+
+    def update_pte_flags_region(self, cpu: "Cpu", aspace: "AddressSpace",
+                                vaddrs: list, *,
+                                writable: Optional[bool] = None,
+                                present: Optional[bool] = None,
+                                cow: Optional[bool] = None,
+                                sync=None, lag: Optional[list] = None) -> None:
+        """Re-flag the PTE at each of ``vaddrs``, in order, exactly as one
+        :meth:`update_pte_flags` call per entry would: the same VO entries,
+        cycles, TLB invalidations and interrupt windows.  Region paths
+        (fork's copy-on-write sweep, mprotect) use this.
+
+        ``sync(k)`` brings the caller's own work interleaved with the
+        entries (fork: sharing the entries into the child) up to date for
+        the entries before ``vaddrs[k]``; ``lag[k]`` is the cycles that
+        work owes the clock by then, counted from the start of the call
+        (non-decreasing; None: it owes none).  This default makes the
+        per-entry calls, syncing before each; a VO whose per-entry work
+        neither reads the clock nor leaves the VO uses :meth:`_reflag_pass`
+        instead."""
+        for k, vaddr in enumerate(vaddrs):
+            if sync is not None:
+                sync(k)
+            self.update_pte_flags(cpu, aspace, vaddr, writable=writable,
+                                  present=present, cow=cow)
+
+    def _reflag_pass(self, cpu: "Cpu", aspace: "AddressSpace", vaddrs: list,
+                     *, writable: Optional[bool] = None,
+                     present: Optional[bool] = None,
+                     cow: Optional[bool] = None,
+                     sync=None, lag: Optional[list] = None) -> None:
+        """:meth:`update_pte_flags_region` in one pass: each entry runs
+        ``update_pte_flags``' own body and charge, but the VO refcount is
+        held once across the call (never below 1 in a window, as §5.1.1
+        requires) and the sim scheduler is pumped only after an entry whose
+        pump could fire something — every other pump fires nothing.
+        Before such a window opens, the entries so far are counted and
+        ``sync`` pays the caller's lag, so a handler sees the clock, the VO
+        counters and the caller's state the per-entry calls left."""
+        n = len(vaddrs)
+        if not n:
+            return
+        body = type(self).update_pte_flags.__wrapped__  # under @sensitive
+        clock = cpu.clock
+        step = cpu.cost.cyc_vo_indirect if self.charges_indirect else 0
+        if lag is None:
+            lag = [0] * n
+        paid = counted = 0
+        bar = _window_bar(cpu)
+        self.refcount += 1
+        try:
+            for k, vaddr in enumerate(vaddrs):
+                clock.cycles += step
+                body(self, cpu, aspace, vaddr, writable=writable,
+                     present=present, cow=cow)
+                if clock.cycles + lag[k] >= bar + paid:
+                    self.entries += k + 1 - counted
+                    counted = k + 1
+                    if sync is not None:
+                        sync(k)
+                    paid = lag[k]
+                    clock.sched.pump(cpu)
+                    bar = _window_bar(cpu)
+        finally:
+            self.entries += n - counted
+            if self.refcount <= 0:
+                raise ConsistencyViolation("VO refcount underflow")
+            self.refcount -= 1
 
     def apply_pte_region(self, cpu: "Cpu", aspace: "AddressSpace",
                          updates: list) -> None:

@@ -67,10 +67,6 @@ from repro.watchdog import Watchdog
 #: the measurement phases the percentile report distinguishes
 PHASES = ("steady", "wave", "after")
 
-#: partial-virtual service tax: an attached VMM costs ~10% on the request
-#: path (the paper's fig. 3 band for syscall-heavy work)
-VIRT_TAX_SHIFT = 3  # svc += svc >> 3 would be 12.5%; we use //10 below
-
 #: chaos detection scan cadence inside a service node (1 ms at 3 GHz)
 CHAOS_SCAN_INTERVAL = 3_000_000
 CHAOS_MAX_SCANS = 12
@@ -172,7 +168,10 @@ class ServiceNode(FleetNode):
             if self._queue:
                 req_id, svc = self._queue.popleft()
                 if self.mercury.mode is not Mode.NATIVE:
-                    svc += svc // 10  # partial-virtual service tax
+                    # partial-virtual service tax: an attached VMM costs
+                    # ~10% on the request path (the paper's fig. 3 band
+                    # for syscall-heavy work)
+                    svc += svc // 10
                 server = self._pick_server()
                 server.user_compute_cycles(cpu, svc)
                 self.served += 1

@@ -89,10 +89,18 @@ class ProcessTable:
     def fork(self, cpu: "Cpu", parent: Task) -> Task:
         """Classic fork with copy-on-write.
 
-        Work done (all through the VO): duplicate the vma list, walk the
-        parent's page tables turning every writable mapping read-only+COW,
-        install matching COW entries in the child, then register (and in
-        virtual mode: pin) the child's address space."""
+        Work done (all through the VO): duplicate the vma list, turn every
+        writable mapping of the parent read-only+COW, install matching COW
+        entries in the child, then register (and in virtual mode: pin) the
+        child's address space.
+
+        The parent's re-protections are one
+        :meth:`~repro.core.vobject.VirtualizationObject.update_pte_flags_region`
+        call per leaf, under a lazy-MMU region (in virtual mode: queued
+        and issued as batched ``mmu_update``); each entry still costs what
+        its own ``update_pte_flags`` call would.  The child's entries are
+        collected in one pass per leaf and installed as one region write
+        (the child is unpinned, so these are plain stores)."""
         kernel = self.kernel
         cost = cpu.cost
         cpu.charge(cost.cyc_proc_create_fixed)
@@ -110,11 +118,6 @@ class ProcessTable:
         child.next_fd = parent.next_fd
         child.stack_cached_selector_dpl = kernel.vo.data.kernel_segment_dpl
 
-        # COW the parent's mapped pages into the child.  The parent-side
-        # re-protections go through the VO under a lazy-MMU region (in
-        # virtual mode: one batched mmu_update instead of a trap per PTE);
-        # the child's entries are collected and installed as one region
-        # write (the child is unpinned, so these are plain stores).
         child_updates = []
         frame_refs = kernel.vmem._frame_refs
         refs_get = frame_refs.get
@@ -141,20 +144,23 @@ class ProcessTable:
                 base = pgd_idx * PT_SPAN
                 present = [(base + idx * PAGE_SIZE, pte)
                            for idx, pte in leaf.entries.items() if pte.present]
-                # a writable entry is re-protected through the VO, which
-                # pumps the sim scheduler (so kernel.vo is re-read, and the
-                # entries before it are shared first: the pump sees their
-                # references and lock cycles exactly as an entry-by-entry
-                # walk leaves them).  The leaf's flags are read up front:
-                # only this task's own syscalls and faults change them,
-                # never an interrupt serviced in a pump.
+                # the leaf's flags are read up front: only this task's own
+                # syscalls and faults change them, never an interrupt
+                # serviced in a window
+                at = [i for i, (_, pte) in enumerate(present) if pte.writable]
                 done = 0
-                for i in [i for i, (_, pte) in enumerate(present)
-                          if pte.writable]:
-                    share(present[done:i])
-                    done = i
-                    kernel.vo.update_pte_flags(cpu, parent_as, present[i][0],
-                                               writable=False, cow=True)
+
+                def sync(k: int) -> None:
+                    # a window is about to open after the k-th writable
+                    # entry: share the entries before it, as the walk had
+                    nonlocal done
+                    share(present[done:at[k]])
+                    done = at[k]
+
+                kernel.vo.update_pte_flags_region(
+                    cpu, parent_as, [present[i][0] for i in at],
+                    writable=False, cow=True, sync=sync,
+                    lag=[lock * i for i in at] if lock else None)
                 share(present[done:])
             kernel.vo.apply_pte_region(cpu, child_as, child_updates)
 

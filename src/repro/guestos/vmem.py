@@ -345,15 +345,17 @@ class VirtualMemory:
         if vma is None:
             raise SyscallError("EINVAL", f"mprotect of unmapped {base:#x}")
         vma.writable = writable
-        # batched like Linux's change_protection: one lazy-MMU region over
-        # the whole range instead of a trap per PTE
+        # batched like Linux's change_protection: one lazy-MMU region and
+        # one VO region call over the present pages of the range (read up
+        # front: an interrupt serviced in a window never remaps them)
+        aspace = task.aspace
+        vaddrs = [vaddr for vaddr in range(base, base + pages * PAGE_SIZE,
+                                           PAGE_SIZE)
+                  if (pte := aspace.get_pte(vaddr)) is not None
+                  and pte.present]
         with self.kernel.lazy_mmu(cpu):
-            for i in range(pages):
-                vaddr = base + i * PAGE_SIZE
-                pte = task.aspace.get_pte(vaddr)
-                if pte is not None and pte.present:
-                    self.kernel.vo.update_pte_flags(cpu, task.aspace, vaddr,
-                                                    writable=writable)
+            self.kernel.vo.update_pte_flags_region(cpu, aspace, vaddrs,
+                                                   writable=writable)
 
     # ------------------------------------------------------------------
 

@@ -156,6 +156,24 @@ class SimScheduler:
         finally:
             self._pumping = False
 
+    def pump_due(self, cpu: "Cpu") -> Optional[int]:
+        """The clock value from which :meth:`pump` on ``cpu`` fires
+        something: 0 while a vector waits on an unmasked CPU, else the
+        earliest timer deadline; None while the pump is closed (reentrant,
+        or ``cpu`` masked) or nothing is queued.
+
+        Only a fired handler or newly queued work changes the answer, so
+        code that queues none may skip every pump before that cycle: each
+        would have fired nothing."""
+        if self._pumping or not cpu.interrupts_enabled:
+            return None
+        machine = self.machine
+        pending = machine.intc.pending_count
+        for other in machine.cpus:
+            if other.interrupts_enabled and pending(other.cpu_id):
+                return 0
+        return self.clock.next_deadline()
+
     def _service_clock(self) -> None:
         """Advance to the earliest pending deadline and pump."""
         handle = self.clock.peek()

@@ -125,7 +125,7 @@ def test_only_performance_critical_code_lives_in_the_vo(mercury):
         "write_cr3", "load_idt", "set_segment_dpl", "irq_disable",
         "irq_enable", "stack_switch", "kernel_entry", "kernel_exit",
         "fault_entry", "set_pte", "clear_pte", "update_pte_flags",
-        "apply_pte_region", "lazy_mmu_begin", "lazy_mmu_end",
+        "update_pte_flags_region", "apply_pte_region", "lazy_mmu_begin", "lazy_mmu_end",
         "lazy_mmu_flush", "lazy_mmu_drain", "lazy_mmu_pending",
         "new_address_space", "destroy_address_space",
         "flush_tlb", "invlpg", "bind_irq", "disk_submit", "net_transmit",

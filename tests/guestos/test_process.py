@@ -6,10 +6,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import Machine, Mercury, small_config
+from repro.bench.configs import BareMetalVO
+from repro.core.accounting import AccountingStrategy
+from repro.core.mercury import PagingMode
 from repro.errors import NoSuchProcess, SyscallError
+from repro.guestos.kernel import Kernel
 from repro.guestos.process import ProcessTable, Task, TaskState
+from repro.hw.interrupts import Idt
 from repro.hw.paging import AddressSpace, Pte
 from repro.params import PAGE_SIZE, PT_SPAN
+from repro.sim.scheduler import SimScheduler
+from repro.sim.task import Yield
 
 
 def test_boot_creates_init(kernel):
@@ -133,13 +140,14 @@ def test_fork_records_selector_dpl(kernel, cpu):
 
 
 # ---------------------------------------------------------------------------
-# fork's segmented COW sweep against the entry-by-entry walk it replaced
+# fork's per-leaf region sweep against the entry-by-entry walk it replaced
 # ---------------------------------------------------------------------------
 
 def _entry_by_entry_fork(self, cpu, parent):
-    """The fork the segmented sweep replaced: one Pte, one reference and
-    one lock charge per entry, in table order, interleaved with the
-    re-protections."""
+    """The fork the region sweep replaced: one Pte, one reference and one
+    lock charge per entry, in table order, interleaved with one
+    ``update_pte_flags`` call (and so one scheduler pump) per writable
+    entry."""
     kernel = self.kernel
     cost = cpu.cost
     cpu.charge(cost.cyc_proc_create_fixed)
@@ -180,13 +188,36 @@ def _entry_by_entry_fork(self, cpu, parent):
     return child
 
 
-def _fork_outcome(cpus, virtual, steps, reference):
+#: a vector no kernel binds: the property's handlers raise it and record
+#: where it is delivered
+VEC_PROBE = 0x90
+
+#: walk start -> timer deadline: the walk costs a few cycles per writable
+#: entry on UP (3 in a direct-paging region), ~150 more per entry on SMP
+OFFSETS = st.one_of(st.integers(0, 40), st.integers(0, 400),
+                    st.integers(0, 6_000))
+
+
+def _fork_stack(vo_kind, cpus):
     machine = Machine(small_config(num_cpus=cpus))
-    mercury = Mercury(machine)
+    if vo_kind == "bare":
+        kernel = Kernel(machine, BareMetalVO(machine), name="bare-linux")
+        kernel.boot(image_pages=6)
+        return machine, kernel, None
+    strategy = (AccountingStrategy.ACTIVE if vo_kind == "active"
+                else AccountingStrategy.RECOMPUTE)
+    paging = PagingMode.SHADOW if vo_kind == "shadow" else PagingMode.DIRECT
+    mercury = Mercury(machine, strategy=strategy, paging=paging)
     kernel = mercury.create_kernel(image_pages=6)
-    cpu = machine.boot_cpu
-    if virtual:
+    if vo_kind in ("virtual", "shadow"):
         mercury.attach()
+    return machine, kernel, mercury
+
+
+def _fork_outcome(vo_kind, cpus, steps, timers, masked, reference):
+    machine, kernel, mercury = _fork_stack(vo_kind, cpus)
+    cpu = machine.boot_cpu
+    clock = machine.clock
     task = kernel.scheduler.current
     base = kernel.syscall(cpu, "mmap", 24 * PAGE_SIZE, True)
     for kind, page in steps:
@@ -204,41 +235,108 @@ def _fork_outcome(cpus, virtual, steps, reference):
             kernel.vmem.steal_page(cpu, task, vaddr)
         else:  # a sibling shares (and COWs) everything mapped so far
             kernel.syscall(cpu, "fork")
-    # the re-protections are where fork lets the rest of the machine in
-    # (the VO wrapper pumps the sim scheduler): record what they see
-    seen = []
-    reprotect = kernel.vo.update_pte_flags
-
-    def observed(cpu, aspace, vaddr, **flags):
-        seen.append((vaddr, cpu.clock.cycles,
-                     list(kernel.vmem._frame_refs.items())))
-        reprotect(cpu, aspace, vaddr, **flags)
-
-    fork = _entry_by_entry_fork if reference else ProcessTable.fork
-    with patch.object(ProcessTable, "fork", fork), \
-            patch.object(kernel.vo, "update_pte_flags", observed):
-        child = kernel.procs.get(kernel.syscall(cpu, "fork"))
 
     def table(aspace):
         return [(vaddr, pte.frame, pte.present, pte.writable, pte.user,
                  pte.cow) for vaddr, pte in aspace.mapped_items()]
-    vmm = mercury.vmm
+
+    # what every fired handler sees: the fork's interrupt windows are
+    # where the rest of the machine observes its walk
+    vo = kernel.vo
+    seen = []
+
+    def look(tag):
+        seen.append((tag, clock.cycles, list(kernel.vmem._frame_refs.items()),
+                     table(task.aspace), vo.lazy_mmu_pending(), vo.refcount,
+                     vo.entries, sorted(cpu.tlb._entries)))
+
+    other = machine.cpus[-1]
+    if other.idt_base is None:  # a native secondary boots with no IDT
+        other.idt_base = Idt("probe")
+    other.idt_base.set_gate(VEC_PROBE,
+                            lambda c, vector: look(("vector", c.cpu_id)))
+
+    def timer(offset, action, then):
+        def fire():
+            look((action, offset))
+            if action == "chain":
+                clock.schedule_at(clock.cycles + then,
+                                  lambda: look(("chained", offset)))
+            elif action == "vector":
+                machine.intc.raise_vector(other.cpu_id, VEC_PROBE)
+            elif action == "mask":
+                cpu.interrupts_enabled = False
+            elif action == "flush":  # applies the lazy queue mid-walk
+                vo.flush_tlb(cpu)
+        return fire
+
+    # the timers are armed where the walk starts, at its lazy-MMU region
+    lazy_mmu = kernel.lazy_mmu
+
+    def arming_lazy_mmu(c):
+        for offset, action, then in timers:
+            if action == "raise":  # a vector already waiting at the start
+                machine.intc.raise_vector(other.cpu_id, VEC_PROBE)
+            else:
+                clock.schedule_at(clock.cycles + offset,
+                                  timer(offset, action, then))
+        return lazy_mmu(c)
+
+    children = []
+
+    def forker():
+        # warm the TLB (a slice starts on a fresh CR3) and clear the dirty
+        # roots, so the walk's invalidations and marks are both visible
+        for page in range(24):
+            kernel.vmem.access(cpu, task, base + page * PAGE_SIZE,
+                               write=False)
+        vo.mmu_log.dirty.clear()
+        if masked:
+            cpu.interrupts_enabled = False
+        children.append(kernel.syscall(cpu, "fork"))
+        cpu.interrupts_enabled = True
+        yield Yield()
+
+    fork = _entry_by_entry_fork if reference else ProcessTable.fork
+    sched = SimScheduler(machine)
+    sched.spawn(forker(), cpu=cpu, kernel=kernel)
+    with patch.object(ProcessTable, "fork", fork), \
+            patch.object(kernel, "lazy_mmu", arming_lazy_mmu):
+        sched.run()
+    child = kernel.procs.get(children[0])
+    vmm = mercury.vmm if mercury is not None else None
     return (seen, table(task.aspace), table(child.aspace),
-            list(kernel.vmem._frame_refs.items()), machine.clock.cycles,
-            dict(vmm.hypercall_counts), vmm.mmu_batched_updates,
+            list(kernel.vmem._frame_refs.items()), clock.cycles,
+            vo.entries, vo.refcount, sorted(cpu.tlb._entries.items()),
+            sorted(vo.mmu_log.dirty),
+            dict(vmm.hypercall_counts) if vmm else None,
+            vmm.mmu_batched_updates if vmm else None,
             list(machine.memory.owner))
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 2), st.booleans(),
+@settings(max_examples=250, deadline=None)
+@given(st.sampled_from(["native", "active", "bare", "virtual", "shadow"]),
+       st.integers(1, 2),
        st.lists(st.tuples(st.sampled_from(["protect", "unprotect", "touch",
                                            "steal", "fork"]),
-                          st.integers(0, 23)), max_size=12))
-def test_segmented_fork_matches_entry_by_entry_walk(cpus, virtual, steps):
-    """Over parents mixing writable, COW, read-only and unmapped pages, in
-    native and virtual mode, on 1 and 2 CPUs, fork leaves both tables,
-    the frame references, the memory, the hypercall traffic and the clock
-    exactly as the entry-by-entry walk does — and each re-protection sees
-    the same clock and references."""
-    assert (_fork_outcome(cpus, virtual, steps, reference=False)
-            == _fork_outcome(cpus, virtual, steps, reference=True))
+                          st.integers(0, 23)), max_size=12),
+       st.lists(st.tuples(OFFSETS,
+                          st.sampled_from(["record", "chain", "vector",
+                                           "raise", "mask", "flush"]),
+                          st.integers(0, 400)), min_size=1, max_size=4),
+       st.sampled_from([False, False, False, True]))
+def test_segmented_fork_matches_entry_by_entry_walk(vo_kind, cpus, steps,
+                                                    timers, masked):
+    """Over parents mixing writable, COW, read-only and unmapped pages,
+    under a running sim scheduler whose timers fall inside the walk, on
+    the native (plain and ACTIVE-accounting), bare-metal, direct-paging
+    and shadow-paging VOes, on 1 and 2 CPUs, with interrupts open or
+    masked: fork leaves both tables, the frame references, the VO
+    counters, the TLB, the dirty roots, the memory, the hypercall traffic
+    and the clock exactly as the entry-by-entry walk does — and every
+    handler that fires sees the same clock, references, parent table,
+    lazy queue, TLB, VO refcount and VO entries."""
+    assert (_fork_outcome(vo_kind, cpus, steps, timers, masked,
+                          reference=False)
+            == _fork_outcome(vo_kind, cpus, steps, timers, masked,
+                             reference=True))

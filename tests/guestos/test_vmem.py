@@ -1,15 +1,22 @@
 """Virtual memory: mmap/munmap, demand paging, protection, brk."""
 
+from contextlib import nullcontext
 from types import SimpleNamespace
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import Machine, Mercury, small_config
+from repro.core.accounting import AccountingStrategy
+from repro.core.mercury import PagingMode
 from repro.errors import InvalidPhysicalAddress, SyscallError
 from repro.guestos.vmem import VirtualMemory
 from repro.hw.memory import OWNER_FREE, PhysicalMemory
 from repro.hw.paging import Pte
 from repro.params import PAGE_SIZE, PT_ENTRIES
+from repro.sim.scheduler import SimScheduler
+from repro.sim.task import Yield
 
 
 def test_mmap_demand_pages_on_touch(kernel, cpu):
@@ -218,3 +225,124 @@ def test_double_free_inside_one_teardown(kernel, cpu):
     assert kernel.vmem.frame_refs(a) == kernel.vmem.frame_refs(b) == 0
     assert kernel.vmem.frame_refs(c) == 1
     assert mem.owner_of(c) == kernel.owner_id
+
+
+# ---------------------------------------------------------------------------
+# mprotect's region call against the per-page loop it replaced
+# ---------------------------------------------------------------------------
+
+def _per_page_mprotect(self, cpu, task, base, length, writable):
+    """The mprotect the region call replaced: one ``update_pte_flags``
+    call (and so one scheduler pump) per present page."""
+    pages = (length + PAGE_SIZE - 1) // PAGE_SIZE
+    vma = self._vma_at(task, base)
+    if vma is None:
+        raise SyscallError("EINVAL", f"mprotect of unmapped {base:#x}")
+    vma.writable = writable
+    with self.kernel.lazy_mmu(cpu):
+        for i in range(pages):
+            vaddr = base + i * PAGE_SIZE
+            pte = task.aspace.get_pte(vaddr)
+            if pte is not None and pte.present:
+                self.kernel.vo.update_pte_flags(cpu, task.aspace, vaddr,
+                                                writable=writable)
+
+
+def _mprotect_outcome(vo_kind, cpus, steps, region, span, writable, timers,
+                      reference):
+    machine = Machine(small_config(num_cpus=cpus))
+    strategy = (AccountingStrategy.ACTIVE if vo_kind == "active"
+                else AccountingStrategy.RECOMPUTE)
+    paging = PagingMode.SHADOW if vo_kind == "shadow" else PagingMode.DIRECT
+    mercury = Mercury(machine, strategy=strategy, paging=paging)
+    kernel = mercury.create_kernel(image_pages=6)
+    if vo_kind in ("virtual", "shadow"):
+        mercury.attach()
+    cpu = machine.boot_cpu
+    clock = machine.clock
+    task = kernel.scheduler.current
+    base = kernel.syscall(cpu, "mmap", 24 * PAGE_SIZE, True)
+    for kind, page in steps:
+        vaddr = base + page * PAGE_SIZE
+        if kind == "protect":
+            kernel.syscall(cpu, "mprotect", vaddr, PAGE_SIZE, False)
+        elif kind == "touch":
+            try:
+                kernel.vmem.access(cpu, task, vaddr, write=True)
+            except SyscallError:
+                pass  # SIGSEGV on a protected page, the same in both runs
+        elif kind == "steal":
+            kernel.vmem.steal_page(cpu, task, vaddr)
+        else:
+            kernel.syscall(cpu, "fork")
+    vo = kernel.vo
+
+    def table():
+        return [(vaddr, pte.frame, pte.present, pte.writable, pte.user,
+                 pte.cow) for vaddr, pte in task.aspace.mapped_items()]
+
+    seen = []
+
+    def look(offset):
+        seen.append((offset, clock.cycles, table(), vo.lazy_mmu_pending(),
+                     vo.refcount, vo.entries, sorted(cpu.tlb._entries)))
+
+    first, count = span
+
+    def caller():
+        for page in range(24):  # a warm TLB: the invalidations show
+            kernel.vmem.access(cpu, task, base + page * PAGE_SIZE,
+                               write=False)
+        for offset in timers:
+            clock.schedule_at(clock.cycles + offset,
+                              lambda offset=offset: look(offset))
+        outer = kernel.lazy_mmu(cpu) if region == "nested" else nullcontext()
+        with outer:
+            if region == "nested":  # a queued write the call must read back
+                vo.update_pte_flags(cpu, task.aspace, base + first * PAGE_SIZE,
+                                    cow=True)
+            kernel.syscall(cpu, "mprotect", base + first * PAGE_SIZE,
+                           count * PAGE_SIZE, writable)
+        yield Yield()
+
+    # "none": no lazy-MMU region at all, so a direct-paging VO issues one
+    # hypercall per entry
+    lazy_mmu = (kernel.lazy_mmu if region != "none"
+                else (lambda c: nullcontext()))
+    mprotect = _per_page_mprotect if reference else VirtualMemory.mprotect
+    sched = SimScheduler(machine)
+    sched.spawn(caller(), cpu=cpu, kernel=kernel)
+    with patch.object(VirtualMemory, "mprotect", mprotect), \
+            patch.object(kernel, "lazy_mmu", lazy_mmu):
+        sched.run()
+    info = mercury.vmm.page_info
+    return (seen, table(), sorted(cpu.tlb._entries.items()),
+            bytes(info.type), list(info.type_count), list(info.ref_count),
+            bytes(info.pinned_map), dict(mercury.vmm.hypercall_counts),
+            mercury.vmm.mmu_batched_updates, clock.cycles, vo.entries,
+            vo.refcount, sorted(vo.mmu_log.dirty))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["native", "active", "virtual", "shadow"]),
+       st.integers(1, 2),
+       st.lists(st.tuples(st.sampled_from(["protect", "touch", "steal",
+                                           "fork"]),
+                          st.integers(0, 23)), max_size=8),
+       st.sampled_from(["own", "none", "nested"]),
+       st.tuples(st.integers(0, 23), st.integers(1, 24)),
+       st.booleans(),
+       st.lists(st.integers(0, 3_000), max_size=3))
+def test_region_mprotect_matches_per_page_loop(vo_kind, cpus, steps, region,
+                                               span, writable, timers):
+    """On the native (plain and ACTIVE-accounting), direct-paging and
+    shadow-paging VOes, on 1 and 2 CPUs, in mprotect's own lazy-MMU
+    region, with no region, and nested in an outer region holding a queued
+    write to the range: region mprotect leaves the tables, the TLB, the
+    page-info columns, the hypercall counts, the VO counters, the dirty
+    roots and the clock exactly as one ``update_pte_flags`` per present
+    page does — and a timer firing inside the call sees the same."""
+    assert (_mprotect_outcome(vo_kind, cpus, steps, region, span, writable,
+                              timers, reference=False)
+            == _mprotect_outcome(vo_kind, cpus, steps, region, span,
+                                 writable, timers, reference=True))
